@@ -36,7 +36,7 @@ bench-paper:
 # BENCH_TOLERANCE overrides the 25%.
 bench-check:
 	$(GO) test -run '^$$' -bench BenchmarkRun -benchtime 100x -benchmem -count 5 ./internal/sim > bench_check.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkSweep$$|BenchmarkSweepResim$$' -benchtime 20x -benchmem -count 5 . >> bench_check.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepResim$$' -benchtime 20x -benchmem -count 5 . >> bench_check.txt
 	$(GO) test -run '^$$' -bench BenchmarkSearchDriver -benchtime 20x -benchmem -count 5 ./internal/search >> bench_check.txt
 	$(GO) test -run '^$$' -bench BenchmarkServeSimulate -benchtime 200x -benchmem -count 5 ./internal/serve >> bench_check.txt
 	$(GO) test -run '^$$' -bench BenchmarkFabric -benchtime 5x -benchmem -count 5 ./internal/fabric >> bench_check.txt
@@ -45,7 +45,7 @@ bench-check:
 # Re-measure the bench baseline on this machine (commit the result).
 bench-baseline:
 	$(GO) test -run '^$$' -bench BenchmarkRun -benchtime 100x -benchmem -count 5 ./internal/sim > bench_baseline.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkSweep$$|BenchmarkSweepResim$$' -benchtime 20x -benchmem -count 5 . >> bench_baseline.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepResim$$' -benchtime 20x -benchmem -count 5 . >> bench_baseline.txt
 	$(GO) test -run '^$$' -bench BenchmarkSearchDriver -benchtime 20x -benchmem -count 5 ./internal/search >> bench_baseline.txt
 	$(GO) test -run '^$$' -bench BenchmarkServeSimulate -benchtime 200x -benchmem -count 5 ./internal/serve >> bench_baseline.txt
 	$(GO) test -run '^$$' -bench BenchmarkFabric -benchtime 5x -benchmem -count 5 ./internal/fabric >> bench_baseline.txt

@@ -11,8 +11,8 @@ import (
 	"rispp/internal/sim"
 )
 
-// deltaGrid is a budget sweep over all six systems — the workload delta-
-// resimulation is built for: consecutive points differ only in NumACs.
+// deltaGrid is a budget sweep over all six systems: consecutive points
+// differ only in NumACs.
 func deltaGrid() []explore.Point {
 	var pts []explore.Point
 	for _, s := range []string{"FSFR", "ASF", "SJF", "HEF", "Molen", "software"} {
@@ -25,16 +25,16 @@ func deltaGrid() []explore.Point {
 	return pts
 }
 
-// TestDeltaSweepMatchesDisabled runs the same budget grid through a delta-
-// enabled Runner and a delta-disabled one and requires identical results
-// on every point — the end-to-end form of the transfer-legality property.
-// The second pass over the grid must be served from trails alone.
+// TestDeltaSweepMatchesDisabled runs the same budget grid twice through one
+// Runner and compares every point against a fresh Runner per pass, whose
+// runtimes are all newly built: the second pass must reuse pooled runtimes
+// and still give identical results.
 func TestDeltaSweepMatchesDisabled(t *testing.T) {
 	pts := deltaGrid()
-	plain := NewRunner(Config{DisableDelta: true})
 	delta := NewRunner(Config{})
 
 	for pass := 0; pass < 2; pass++ {
+		plain := NewRunner(Config{})
 		for i, p := range pts {
 			want, got := new(sim.Result), new(sim.Result)
 			if err := plain.RunPoint(context.Background(), p, sim.Options{}, want); err != nil {
@@ -56,26 +56,20 @@ func TestDeltaSweepMatchesDisabled(t *testing.T) {
 			}
 		}
 	}
-	serves, resumes, records := delta.DeltaStats()
-	if serves == 0 || records == 0 {
-		t.Errorf("delta stats: serves=%d resumes=%d records=%d; want serves>0 and records>0",
-			serves, resumes, records)
-	}
-	// Pass 2 repeated every point: at least the whole grid must have been
-	// full-skipped.
-	if serves < int64(len(pts)) {
-		t.Errorf("serves = %d after repeating %d points, want ≥ %d", serves, len(pts), len(pts))
+	// Pass 2 repeated every point on a pooled runtime.
+	if hits, misses := delta.RuntimePoolStats(); hits != int64(len(pts)) || misses != int64(len(pts)) {
+		t.Errorf("pool stats: hits=%d misses=%d, want %d/%d", hits, misses, len(pts), len(pts))
 	}
 }
 
-// TestDeltaRunPointSetMatchesRunPoint: the grouped path must give the same
-// results as point-wise runs when delta is on (it splits the set into
-// skips/resumes/records internally).
+// TestDeltaRunPointSetMatchesRunPoint: the grouped single-pass walk must
+// give the same results as point-wise runs, also on its second pass over
+// pooled runtimes.
 func TestDeltaRunPointSetMatchesRunPoint(t *testing.T) {
 	pts := deltaGrid()
 	rn := NewRunner(Config{})
 	want := make([]int64, len(pts))
-	ref := NewRunner(Config{DisableDelta: true})
+	ref := NewRunner(Config{})
 	for i, p := range pts {
 		res := new(sim.Result)
 		if err := ref.RunPoint(context.Background(), p, sim.Options{}, res); err != nil {
@@ -100,8 +94,8 @@ func TestDeltaRunPointSetMatchesRunPoint(t *testing.T) {
 	}
 }
 
-// TestDeltaJournalBytes: a point served from a trail must reproduce the
-// journal byte-for-byte.
+// TestDeltaJournalBytes: repeating a point through a reused Runner (pooled
+// runtime, recycled Result) must reproduce the journal byte-for-byte.
 func TestDeltaJournalBytes(t *testing.T) {
 	rn := NewRunner(Config{})
 	p := explore.Point{Scheduler: "HEF", NumACs: 10, Frames: 1, SeedForecasts: true}
@@ -113,17 +107,16 @@ func TestDeltaJournalBytes(t *testing.T) {
 	if err := rn.RunPoint(context.Background(), p, sim.Options{Journal: &second}, res); err != nil {
 		t.Fatal(err)
 	}
-	serves, _, records := rn.DeltaStats()
-	if records != 1 || serves != 1 {
-		t.Errorf("delta stats: serves=%d records=%d, want 1/1", serves, records)
+	if hits, misses := rn.RuntimePoolStats(); hits != 1 || misses != 1 {
+		t.Errorf("pool stats: hits=%d misses=%d, want 1/1", hits, misses)
 	}
 	if first.Len() == 0 || !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Errorf("served journal differs from recorded one (%d vs %d bytes)", second.Len(), first.Len())
+		t.Errorf("repeated journal differs from the first one (%d vs %d bytes)", second.Len(), first.Len())
 	}
 }
 
-// TestDeltaDisabledForIneligibleCollect: histogram/timeline runs bypass the
-// trail layer entirely.
+// TestDeltaDisabledForIneligibleCollect: histogram runs go through the
+// runtime pool like every other point.
 func TestDeltaDisabledForIneligibleCollect(t *testing.T) {
 	rn := NewRunner(Config{})
 	p := explore.Point{Scheduler: "HEF", NumACs: 10, Frames: 1, SeedForecasts: true}
@@ -133,20 +126,15 @@ func TestDeltaDisabledForIneligibleCollect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if serves, resumes, records := rn.DeltaStats(); serves+resumes+records != 0 {
-		t.Errorf("delta stats for ineligible collect: %d/%d/%d, want all zero", serves, resumes, records)
-	}
 	if hits, misses := rn.RuntimePoolStats(); hits != 1 || misses != 1 {
 		t.Errorf("pool stats: hits=%d misses=%d, want 1/1", hits, misses)
 	}
 }
 
-// TestDeltaTrailConcurrentUse shares one delta-enabled Runner between
-// serve-style point traffic and grouped sweeps, all budgets racing on the
-// same trail sets, and checks every result against a per-goroutine
-// reference from a delta-disabled Runner. Run under -race: it exercises
-// concurrent trail recording (first-wins store), lock-free serving from
-// immutable trails, and prefix-sharing resumes.
+// TestDeltaTrailConcurrentUse shares one Runner between serve-style point
+// traffic and grouped sweeps, all budgets racing on the same compile memo
+// and runtime pools, and checks every result against a reference from a
+// separate Runner. Run under -race.
 func TestDeltaTrailConcurrentUse(t *testing.T) {
 	pts := deltaGrid()
 	groups := map[string][]explore.Point{}
@@ -155,7 +143,7 @@ func TestDeltaTrailConcurrentUse(t *testing.T) {
 	}
 
 	want := make(map[string]int64, len(pts))
-	ref := NewRunner(Config{DisableDelta: true})
+	ref := NewRunner(Config{})
 	for _, p := range pts {
 		res := new(sim.Result)
 		if err := ref.RunPoint(context.Background(), p, sim.Options{}, res); err != nil {
@@ -212,9 +200,4 @@ func TestDeltaTrailConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	serves, resumes, records := shared.DeltaStats()
-	if serves == 0 || records == 0 {
-		t.Errorf("stress did not exercise the delta layer: serves=%d resumes=%d records=%d",
-			serves, resumes, records)
-	}
 }

@@ -78,21 +78,14 @@ type Manager struct {
 	budget     int   // current container budget (≤ NumACs); see SetBudget
 
 	// Per-SI caches over the Atom Container state, invalidated by bumping
-	// gen whenever the array mutates (install, reset, restore). The
-	// simulator polls Latency and Record per burst but the array only
-	// changes per completed reconfiguration, so the cache collapses the
-	// dominant Molecule re-scan of the run loop.
+	// gen whenever the array mutates (install, reset). The simulator polls
+	// Latency and Record per burst but the array only changes per completed
+	// reconfiguration, so the cache collapses the dominant Molecule re-scan
+	// of the run loop.
 	gen      uint64
 	latGen   []uint64  // per SI: gen the cache entry was computed at
 	lat      []int32   // per SI: current latency
 	touchIdx [][]int32 // per SI: slots Record must stamp for LRU recency
-
-	// Budget-sensitivity accounting for delta-resimulation (see
-	// BudgetSensitivity): the container demand of the run so far and
-	// whether any budget-dependent filter fired.
-	selDemand     int
-	selRejected   bool
-	budgetTouched bool // SetBudget was called since Reset → no transfer claims
 
 	// Selections counts hot-spot entries that selected at least one
 	// Molecule; Requests records the most recent selection.
@@ -191,9 +184,6 @@ func (m *Manager) Reset() {
 	m.prefetched = false
 	m.budget = m.cfg.NumACs
 	m.gen++ // invalidate the per-SI latency/touch caches
-	m.selDemand = 0
-	m.selRejected = false
-	m.budgetTouched = false
 	m.Selections = 0
 	m.Requests = m.Requests[:0]
 	m.Prefetches = 0
@@ -226,7 +216,6 @@ func (m *Manager) SetBudget(n int) {
 		n = m.cfg.NumACs
 	}
 	m.budget = n
-	m.budgetTouched = true
 }
 
 // Budget returns the current selection budget.
@@ -259,12 +248,6 @@ func (m *Manager) EnterHotSpot(h isa.HotSpotID, now int64) {
 		}
 	} else {
 		reqs = selection.GreedyInto(cands, m.budget, is.Dim(), m.selScratch)
-		if m.selScratch.Rejected {
-			m.selRejected = true
-		}
-		if m.selScratch.Demand > m.selDemand {
-			m.selDemand = m.selScratch.Demand
-		}
 	}
 	m.Requests = reqs
 	if len(reqs) > 0 {
@@ -390,113 +373,6 @@ func (m *Manager) schedulePrefetch(now int64) {
 	}
 	m.port.Schedule(now, seq)
 	m.Prefetches++
-}
-
-// --- delta-resimulation checkpointing (sim.Checkpointable) ---------------
-
-// State is an opaque checkpoint of a Manager at a phase boundary, produced
-// by SaveState and consumed by RestoreState. States transfer between
-// Managers whose configs agree on everything except NumACs (the delta axis);
-// the budget-transfer legality is the caller's job via BudgetSensitivity.
-type State struct {
-	mon    monitor.State
-	array  reconfig.ArrayState
-	port   reconfig.PortState
-	needed molecule.Vector
-
-	lastSpot   isa.HotSpotID
-	started    bool
-	prefetched bool
-	now        int64
-
-	selections  int
-	prefetches  int
-	staleLoads  int
-	selDemand   int
-	selRejected bool
-}
-
-// ContainerBudget returns the physical container count checkpoint transfers
-// are measured against.
-func (m *Manager) ContainerBudget() int { return m.cfg.NumACs }
-
-// NewState allocates an empty checkpoint arena for SaveState.
-func (m *Manager) NewState() any { return new(State) }
-
-// SaveState deep-copies the Manager's complete mutable state into dst (a
-// *State from NewState). Must be called at a phase boundary — after
-// LeaveHotSpot, before the next EnterHotSpot. The arenas inside dst are
-// reused across saves.
-func (m *Manager) SaveState(dst any) {
-	s := dst.(*State)
-	m.mon.SaveInto(&s.mon)
-	m.array.SaveInto(&s.array)
-	m.port.SaveInto(&s.port)
-	if cap(s.needed) < len(m.needed) {
-		s.needed = m.needed.Clone()
-	} else {
-		s.needed = s.needed[:len(m.needed)]
-		s.needed.CopyFrom(m.needed)
-	}
-	s.lastSpot = m.lastSpot
-	s.started = m.started
-	s.prefetched = m.prefetched
-	s.now = m.now
-	s.selections = m.Selections
-	s.prefetches = m.Prefetches
-	s.staleLoads = m.StaleLoads
-	s.selDemand = m.selDemand
-	s.selRejected = m.selRejected
-}
-
-// RestoreState overwrites the Manager's state with a saved one, replacing
-// the Reset a fresh run would perform. The selection budget returns to the
-// full fabric (SetBudget does not survive a restore) and Requests is
-// cleared — both are rebuilt by the next EnterHotSpot. Only the runtime
-// pool owner may restore a Manager; see ARCHITECTURE.md on checkpoint
-// ownership.
-func (m *Manager) RestoreState(src any) {
-	s := src.(*State)
-	m.mon.RestoreFrom(&s.mon)
-	m.array.RestoreFrom(&s.array, m.cfg.Seed)
-	m.port.RestoreFrom(&s.port)
-	m.needed.CopyFrom(s.needed)
-	m.lastSpot = s.lastSpot
-	m.started = s.started
-	m.prefetched = s.prefetched
-	m.now = s.now
-	m.budget = m.cfg.NumACs
-	m.budgetTouched = false
-	m.gen++ // container contents replaced; caches are stale
-	m.Selections = s.selections
-	m.Requests = m.Requests[:0]
-	m.Prefetches = s.prefetches
-	m.StaleLoads = s.staleLoads
-	m.selDemand = s.selDemand
-	m.selRejected = s.selRejected
-}
-
-// BudgetSensitivity reports how the run so far depended on the container
-// budget. demand is the largest container count any decision actually
-// required: the joint sup of every Molecule selection and the peak array
-// occupancy. A prefix replayed on any budget ≥ demand commits the identical
-// decision sequence (greedy argmax stability: the budget filter only
-// removed losing candidates). upOK additionally reports that no
-// budget-dependent filter fired at all — no selection rejection, no
-// eviction, no stale load — so the prefix is also valid on larger budgets.
-// Exhaustive selection and prefetching make decisions that resist this
-// analysis; they and SetBudget report maximal sensitivity (demand = NumACs,
-// upOK = false), disabling transfers without affecting correctness.
-func (m *Manager) BudgetSensitivity() (demand int, upOK bool) {
-	if m.cfg.ExhaustiveSelection || m.cfg.Prefetch || m.budgetTouched {
-		return m.cfg.NumACs, false
-	}
-	demand = m.selDemand
-	if p := m.array.PeakOccupancy(); p > demand {
-		demand = p
-	}
-	upOK = !m.selRejected && m.array.Evictions == 0 && m.StaleLoads == 0
-	return demand, upOK
 }
 
 // Loaded exposes the current Atom availability (for inspection/tests).

@@ -112,7 +112,7 @@ func (m *Monitor) Seed(si isa.SIID, expected int64) {
 
 // noteNonzero registers si in the nonzero-expectation list of hot spot h,
 // preserving the nz ⊇ {si : expected[si] ≠ 0} invariant. Linear dedupe —
-// only called from cold paths (Seed, RestoreFrom fallback).
+// only called from the cold Seed path.
 func (m *Monitor) noteNonzero(h isa.HotSpotID, si isa.SIID) {
 	for _, x := range m.nz[h] {
 		if x == si {
@@ -246,128 +246,6 @@ func (m *Monitor) MeanAbsError() float64 {
 
 func (m *Monitor) String() string {
 	return fmt.Sprintf("monitor(α=2^-%d, spots=%v)", m.shift, m.ObservedSpots)
-}
-
-// State is an opaque deep copy of a Monitor's learned state, produced by
-// SaveInto at a phase boundary (between hot spots) and consumed by
-// RestoreFrom. Arenas inside are reused across saves.
-type State struct {
-	expected   map[isa.HotSpotID][]int64
-	nz         map[isa.HotSpotID][]isa.SIID
-	successors map[isa.HotSpotID]map[isa.HotSpotID]int
-	observed   map[isa.HotSpotID]int
-	current    isa.HotSpotID
-	absError   int64
-	samples    int
-}
-
-// SaveInto copies the monitor's learned state into dst. Must be called
-// between hot spots (after LeaveHotSpot): live counters are then all zero
-// and need not be captured.
-func (m *Monitor) SaveInto(dst *State) {
-	if m.inSpot {
-		panic("monitor: SaveInto inside a hot spot")
-	}
-	if dst.expected == nil {
-		dst.expected = make(map[isa.HotSpotID][]int64)
-		dst.nz = make(map[isa.HotSpotID][]isa.SIID)
-		dst.observed = make(map[isa.HotSpotID]int)
-	}
-	for h := range dst.expected {
-		if _, ok := m.expected[h]; !ok {
-			delete(dst.expected, h)
-			delete(dst.nz, h)
-		}
-	}
-	for h, e := range m.expected {
-		de := dst.expected[h]
-		if cap(de) < len(e) {
-			de = make([]int64, len(e))
-		}
-		de = de[:len(e)]
-		copy(de, e)
-		dst.expected[h] = de
-		dst.nz[h] = append(dst.nz[h][:0], m.nz[h]...)
-	}
-	if m.successors != nil && dst.successors == nil {
-		dst.successors = make(map[isa.HotSpotID]map[isa.HotSpotID]int)
-	}
-	for h, row := range dst.successors {
-		if _, ok := m.successors[h]; !ok {
-			delete(dst.successors, h)
-		} else {
-			clear(row)
-		}
-	}
-	for h, row := range m.successors {
-		drow := dst.successors[h]
-		if drow == nil {
-			drow = make(map[isa.HotSpotID]int, len(row))
-			dst.successors[h] = drow
-		}
-		for to, n := range row {
-			drow[to] = n
-		}
-	}
-	clear(dst.observed)
-	for h, n := range m.ObservedSpots {
-		dst.observed[h] = n
-	}
-	dst.current = m.current
-	dst.absError = m.AbsError
-	dst.samples = m.Samples
-}
-
-// RestoreFrom overwrites the monitor's learned state with a saved one. Keys
-// the monitor has learned since the save are zeroed in place rather than
-// deleted — a zero expectation vector is behaviorally identical to an
-// absent one — so steady-state restores allocate nothing.
-func (m *Monitor) RestoreFrom(src *State) {
-	for h, e := range m.expected {
-		if _, ok := src.expected[h]; !ok {
-			for i := range e {
-				e[i] = 0
-			}
-			m.nz[h] = m.nz[h][:0]
-		}
-	}
-	for h, se := range src.expected {
-		e := m.ensure(h)
-		copy(e, se)
-		m.nz[h] = append(m.nz[h][:0], src.nz[h]...)
-	}
-	for i := range m.counts {
-		m.counts[i] = 0
-	}
-	m.touched = m.touched[:0]
-	m.inSpot = false
-	m.current = src.current
-	for h, row := range m.successors {
-		if _, ok := src.successors[h]; !ok {
-			clear(row)
-		}
-	}
-	for h, srow := range src.successors {
-		if m.successors == nil {
-			m.successors = make(map[isa.HotSpotID]map[isa.HotSpotID]int)
-		}
-		row := m.successors[h]
-		if row == nil {
-			row = make(map[isa.HotSpotID]int, len(srow))
-			m.successors[h] = row
-		} else {
-			clear(row)
-		}
-		for to, n := range srow {
-			row[to] = n
-		}
-	}
-	clear(m.ObservedSpots)
-	for h, n := range src.observed {
-		m.ObservedSpots[h] = n
-	}
-	m.AbsError = src.absError
-	m.Samples = src.samples
 }
 
 // Successor prediction: the monitor also learns the hot-spot rotation

@@ -5,23 +5,31 @@
 // byte for byte. Likewise the batched single-pass walk (sim.RunCompiledSet)
 // must match sequential fresh runs. Both properties are checked over the
 // oracle's seeded generators: hundreds of (hardware, workload, AC-count)
-// configurations across all six run-time systems.
+// configurations across all six run-time systems. A third corpus pins the
+// scheduler kernels against the choose-based reference loop on the same
+// generated hardware.
 package oracle_test
 
 import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rispp"
 	"rispp/internal/isa"
+	"rispp/internal/molecule"
 	"rispp/internal/oracle"
+	"rispp/internal/sched"
 	"rispp/internal/sim"
 	"rispp/internal/workload"
 )
 
 const reuseSeeds = 100 // × len(oracle.Systems) = 600 triples
+
+// checkpointSeeds sizes the generated scheduler-kernel corpus below.
+const checkpointSeeds = 60
 
 func newRuntime(t *testing.T, sys string, is *isa.ISA, acs int, tr *workload.Trace) sim.Runtime {
 	t.Helper()
@@ -113,6 +121,48 @@ func TestRunCompiledSetEquivalenceGeneratedCorpus(t *testing.T) {
 		for i, sys := range oracle.Systems {
 			if err := oracle.DiffResults(want[i], got[i]); err != nil {
 				t.Errorf("seed %d, system %s, %d ACs: %v", seed, sys, acs, err)
+			}
+		}
+	}
+}
+
+// TestKernelEquivalenceGeneratedCorpus pins the specialized scheduler
+// kernels against the reference loop on the oracle's generated hardware —
+// a richer Molecule-library distribution than the sched package's own
+// random ISAs.
+func TestKernelEquivalenceGeneratedCorpus(t *testing.T) {
+	names := []string{"FSFR", "ASF", "SJF", "HEF", "HEF-unnorm"}
+	for seed := int64(0); seed < checkpointSeeds; seed++ {
+		r := rand.New(rand.NewSource(seed + 7919))
+		is := oracle.GenHardware(r)
+		dim := len(is.Atoms)
+
+		var reqs []sched.Request
+		for j := range is.SIs {
+			si := &is.SIs[j]
+			reqs = append(reqs, sched.Request{
+				SI:       si,
+				Selected: si.Molecules[r.Intn(len(si.Molecules))],
+				Expected: int64(r.Intn(5000)),
+			})
+		}
+		avail := molecule.New(dim)
+		for a := 0; a < dim; a++ {
+			avail[a] = r.Intn(3)
+		}
+
+		for _, name := range names {
+			s, err := sched.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sched.ScheduleInto(s, sched.NewScratch(), reqs, avail)
+			want := sched.ScheduleReference(s, sched.NewScratch(), reqs, avail)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d, %s: kernel %v != reference %v", seed, name, got, want)
+			}
+			if err := sched.Valid(got, reqs, avail); err != nil {
+				t.Errorf("seed %d, %s: invalid kernel schedule: %v", seed, name, err)
 			}
 		}
 	}

@@ -89,14 +89,10 @@ type slot struct {
 // which container, the aggregate availability vector, and use recency for
 // eviction.
 type Array struct {
-	dim    int
 	slots  []slot
 	loaded molecule.Vector
 	policy EvictionPolicy
 	rng    *rand.Rand // lazily (re)seeded; only EvictRandom ever draws
-
-	occupied int // occupied containers (an Atom never leaves except by eviction)
-	peakOcc  int // maximum occupancy since Reset, for budget-sensitivity
 
 	// Evictions counts Atoms displaced to make room for new loads.
 	Evictions int
@@ -106,7 +102,6 @@ type Array struct {
 // Atom-type space of dimension dim.
 func NewArray(n, dim int, policy EvictionPolicy, seed int64) *Array {
 	a := &Array{
-		dim:    dim,
 		slots:  make([]slot, n),
 		loaded: molecule.New(dim),
 		policy: policy,
@@ -140,8 +135,6 @@ func (a *Array) Reset(seed int64) {
 	}
 	a.loaded.Zero()
 	a.seedRNG(seed)
-	a.occupied = 0
-	a.peakOcc = 0
 	a.Evictions = 0
 }
 
@@ -232,106 +225,9 @@ func (a *Array) Install(atom isa.AtomID, needed molecule.Vector, now Cycle) {
 		evicted := a.slots[idx].atom
 		a.loaded[int(evicted)]--
 		a.Evictions++
-	} else {
-		a.occupied++
-		if a.occupied > a.peakOcc {
-			a.peakOcc = a.occupied
-		}
 	}
 	a.slots[idx] = slot{atom: atom, occupied: true, loadedAt: now, usedAt: now}
 	a.loaded[int(atom)]++
-}
-
-// PeakOccupancy returns the maximum number of simultaneously occupied
-// containers since Reset. An array of at least this size would have made
-// the identical install decisions (no eviction pressure below the peak),
-// which is what delta-resimulation's budget-transfer check needs.
-func (a *Array) PeakOccupancy() int { return a.peakOcc }
-
-// ArrayState is an opaque deep copy of an Array's mutable state, produced
-// by SaveInto and consumed by RestoreFrom. The arenas inside are reused
-// across saves.
-type ArrayState struct {
-	slots     []slot
-	loaded    molecule.Vector
-	occupied  int
-	peakOcc   int
-	evictions int
-}
-
-// SaveInto copies the array's complete mutable state into dst.
-func (a *Array) SaveInto(dst *ArrayState) {
-	dst.slots = append(dst.slots[:0], a.slots...)
-	if cap(dst.loaded) < a.dim {
-		dst.loaded = a.loaded.Clone()
-	} else {
-		dst.loaded = dst.loaded[:a.dim]
-		dst.loaded.CopyFrom(a.loaded)
-	}
-	dst.occupied = a.occupied
-	dst.peakOcc = a.peakOcc
-	dst.evictions = a.Evictions
-}
-
-// RestoreFrom overwrites the array's state with a saved one. The target may
-// have a different container count: saved occupied slots beyond the target's
-// size are rejected (the budget-transfer legality check guarantees the saved
-// occupancy fits), extra target slots are cleared. The eviction RNG is
-// reseeded to its power-on stream — a legal restore point precedes the first
-// eviction, so the source array had not drawn from it either.
-func (a *Array) RestoreFrom(src *ArrayState, seed int64) {
-	n := copy(a.slots, src.slots)
-	for _, s := range src.slots[n:] {
-		if s.occupied {
-			panic("reconfig: RestoreFrom: saved occupancy exceeds target array size")
-		}
-	}
-	for i := n; i < len(a.slots); i++ {
-		a.slots[i] = slot{}
-	}
-	a.loaded.CopyFrom(src.loaded)
-	a.occupied = src.occupied
-	a.peakOcc = src.peakOcc
-	a.Evictions = src.evictions
-	a.seedRNG(seed)
-}
-
-// PortState is an opaque deep copy of a Port's mutable state, produced by
-// (*Port).SaveInto and consumed by RestoreFrom. The pending arena is reused
-// across saves.
-type PortState struct {
-	inflight   isa.AtomID
-	hasInflite bool
-	completeAt Cycle
-	pending    []isa.AtomID // unconsumed queue suffix
-	readyAt    Cycle
-	loads      int
-	busyCycles Cycle
-}
-
-// SaveInto copies the port's complete mutable state into dst. Only the
-// unconsumed part of the queue is captured.
-func (p *Port) SaveInto(dst *PortState) {
-	dst.inflight = p.inflight
-	dst.hasInflite = p.hasInflite
-	dst.completeAt = p.completeAt
-	dst.pending = append(dst.pending[:0], p.pending[p.phead:]...)
-	dst.readyAt = p.readyAt
-	dst.loads = p.Loads
-	dst.busyCycles = p.BusyCycles
-}
-
-// RestoreFrom overwrites the port's state with a saved one; the size source
-// and timing are construction-time configuration and stay untouched.
-func (p *Port) RestoreFrom(src *PortState) {
-	p.inflight = src.inflight
-	p.hasInflite = src.hasInflite
-	p.completeAt = src.completeAt
-	p.pending = append(p.pending[:0], src.pending...)
-	p.phead = 0
-	p.readyAt = src.readyAt
-	p.Loads = src.loads
-	p.BusyCycles = src.busyCycles
 }
 
 // victim picks the container to clear according to the eviction policy. A

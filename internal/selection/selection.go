@@ -34,17 +34,6 @@ type Scratch struct {
 	curLat []int
 	sup    molecule.Vector
 	reqs   []sched.Request
-
-	// Rejected reports whether the last GreedyInto call skipped at least one
-	// upgrade because it would have exceeded numACs. When false, the same
-	// call on any budget ≥ Demand commits the identical sequence of
-	// upgrades: removing the budget filter cannot change any greedy argmax
-	// (a losing candidate stays losing), so the winners are unchanged.
-	Rejected bool
-	// Demand is the container count the last selection actually used (the
-	// determinant of the final joint sup); budgets ≥ Demand admit every
-	// committed upgrade.
-	Demand int
 }
 
 // NewScratch returns an empty Scratch; it sizes itself on first use.
@@ -86,7 +75,6 @@ func GreedyInto(cands []Candidate, numACs, dim int, sc *Scratch) []sched.Request
 	}
 	sup := sc.sup
 	supDet := 0
-	sc.Rejected = false
 
 	for {
 		bestI, bestJ := -1, -1
@@ -103,7 +91,6 @@ func GreedyInto(cands []Candidate, numACs, dim int, sc *Scratch) []sched.Request
 				}
 				newSupDet := sup.SupDet(m.Atoms)
 				if newSupDet > numACs {
-					sc.Rejected = true
 					continue
 				}
 				gain := c.Expected * int64(curLat[i]-m.Latency)
@@ -136,7 +123,6 @@ func GreedyInto(cands []Candidate, numACs, dim int, sc *Scratch) []sched.Request
 		supDet = sup.Determinant()
 	}
 
-	sc.Demand = supDet
 	reqs := sc.reqs[:0]
 	for i, c := range cands {
 		if chosen[i] != nil {

@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// latencyBuckets are the upper bounds (seconds) of the request-duration
-// histogram. One-frame simulations land in the sub-millisecond buckets,
+// latencyBuckets are the upper bounds (seconds) of the per-route latency
+// histograms. One-frame simulations land in the sub-millisecond buckets,
 // full 140-frame paper runs in the tens-of-milliseconds range, and large
 // exploration sweeps at the top.
 var latencyBuckets = [numLatencyBuckets]float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
@@ -54,8 +54,8 @@ func (h *routeHist) observe(d time.Duration) {
 	}
 }
 
-// metrics is the server's instrumentation: a handful of counters, one
-// latency histogram and an in-flight gauge, exposed in Prometheus text
+// metrics is the server's instrumentation: a handful of counters, per-route
+// latency histograms and an in-flight gauge, exposed in Prometheus text
 // exposition format with nothing but the standard library. All methods are
 // safe for concurrent use.
 type metrics struct {
@@ -68,10 +68,6 @@ type metrics struct {
 	engineHits atomic.Int64 // /v1/explore records answered by the result cache
 	engineSim  atomic.Int64 // /v1/explore records actually simulated here
 	panics     atomic.Int64 // recovered handler panics
-
-	latCount  atomic.Int64
-	latSumNS  atomic.Int64
-	latBucket [numLatencyBuckets]atomic.Int64 // rendered cumulatively
 
 	// Per-endpoint latency histograms (SLO series: p50/p99 per route are
 	// derived from the buckets by the scraper/risppload).
@@ -137,21 +133,11 @@ func (m *metrics) suggest(strategy string, points, front int) {
 }
 
 // request records one completed request: its route, status code and wall
-// time (aggregate histogram kept for continuity, per-route histogram for
-// the SLO series).
+// time (per-route histogram, the SLO series).
 func (m *metrics) request(route string, code int, d time.Duration) {
 	m.mu.Lock()
 	m.requests[route+"\x00"+strconv.Itoa(code)]++
 	m.mu.Unlock()
-	m.latCount.Add(1)
-	m.latSumNS.Add(int64(d))
-	s := d.Seconds()
-	for i, ub := range latencyBuckets {
-		if s <= ub {
-			m.latBucket[i].Add(1)
-			break
-		}
-	}
 	m.routeLat[routeIndex(route)].observe(d)
 }
 
@@ -176,18 +162,6 @@ func (m *metrics) write(w io.Writer) {
 		route, code, _ := cutByte(k)
 		fmt.Fprintf(w, "rispp_requests_total{route=%q,code=%q} %d\n", route, code, counts[i])
 	}
-
-	fmt.Fprintf(w, "# HELP rispp_request_duration_seconds Request wall time.\n")
-	fmt.Fprintf(w, "# TYPE rispp_request_duration_seconds histogram\n")
-	var cum int64
-	for i, ub := range latencyBuckets {
-		cum += m.latBucket[i].Load()
-		fmt.Fprintf(w, "rispp_request_duration_seconds_bucket{le=%q} %d\n", formatBound(ub), cum)
-	}
-	count := m.latCount.Load()
-	fmt.Fprintf(w, "rispp_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", count)
-	fmt.Fprintf(w, "rispp_request_duration_seconds_sum %g\n", float64(m.latSumNS.Load())/1e9)
-	fmt.Fprintf(w, "rispp_request_duration_seconds_count %d\n", count)
 
 	fmt.Fprintf(w, "# HELP rispp_endpoint_latency_seconds Request wall time by route (SLO series).\n")
 	fmt.Fprintf(w, "# TYPE rispp_endpoint_latency_seconds histogram\n")

@@ -37,9 +37,8 @@ func TestSimulateAndEngineSweepShareRunnerRaceFree(t *testing.T) {
 	}
 
 	// CacheEntries < 0 disables the response cache, so every request takes
-	// a runtime from the shared pool instead of short-circuiting; delta-
-	// resimulation is off for the same reason (trail serves skip the pool).
-	s := New(Config{Workers: 8, CacheEntries: -1}, rispp.Config{DisableDelta: true})
+	// a runtime from the shared pool instead of short-circuiting.
+	s := New(Config{Workers: 8, CacheEntries: -1}, rispp.Config{})
 	h := s.Handler()
 	const rounds = 6
 

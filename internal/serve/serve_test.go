@@ -523,7 +523,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, series := range []string{
 		`rispp_requests_total{route="/v1/simulate",code="200"} 1`,
 		`rispp_requests_total{route="/v1/healthz",code="200"} 1`,
-		"rispp_request_duration_seconds_count 2",
+		`rispp_endpoint_latency_seconds_count{route="/v1/simulate"} 1`,
 		"rispp_inflight_simulations 0",
 		"rispp_panics_total 0",
 	} {

@@ -53,7 +53,7 @@ func TestTwoTenantTrafficRaceFree(t *testing.T) {
 			InteractiveQueue: 128,
 			BatchQueue:       128,
 		},
-	}, rispp.Config{DisableDelta: true})
+	}, rispp.Config{})
 	s.Logf = t.Logf
 	h := s.Handler()
 

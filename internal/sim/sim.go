@@ -357,7 +357,6 @@ type runner struct {
 	now       int64
 	maxCycles int64
 	cancelErr error
-	rec       *trailRec // non-nil when recording a checkpoint trail
 }
 
 func (r *runner) canceled() bool {
@@ -485,9 +484,6 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 		r.js.emit(JournalEvent{Cycle: r.now, Event: "leave", HotSpot: int(p.HotSpot)})
 	}
 	res.Phases = append(res.Phases, PhaseStat{HotSpot: p.HotSpot, Start: phaseStart, End: r.now})
-	if r.rec != nil {
-		r.rec.boundary(r, pi+1)
-	}
 	return nil
 }
 
@@ -506,11 +502,3 @@ func (r *swRuntime) Latency(si isa.SIID) int           { return r.is.SI(si).SWLa
 func (r *swRuntime) Record(isa.SIID, int64, int64)     {}
 func (r *swRuntime) NextEvent() (int64, bool)          { return 0, false }
 func (r *swRuntime) Advance(int64)                     { panic("sim: software runtime has no events") }
-
-// The software runtime has no mutable state at all, so it checkpoints
-// trivially and every prefix transfers to every budget.
-func (r *swRuntime) ContainerBudget() int           { return 0 }
-func (r *swRuntime) NewState() any                  { return nil }
-func (r *swRuntime) SaveState(any)                  {}
-func (r *swRuntime) RestoreState(any)               {}
-func (r *swRuntime) BudgetSensitivity() (int, bool) { return 0, true }

@@ -84,27 +84,9 @@ type Config struct {
 	// cycles by the core's slowdown (see internal/membus).
 	Bus *membus.Config
 
-	// Collect controls measurement artifacts (histograms, timelines).
+	// Collect controls measurement artifacts (histograms, timelines, the
+	// event journal).
 	Collect sim.Options
-
-	// DisableDelta turns off delta-resimulation in Runner-based paths
-	// (RunPoint/RunPointSet/Explorer): every point then simulates from
-	// power-on even when a recorded checkpoint trail could serve it.
-	// Results are identical either way; the knob exists for benchmarking
-	// the raw simulator and for tests that pin runtime-pool behavior.
-	DisableDelta bool
-
-	// TrailDir, when non-empty, persists completed delta-resimulation
-	// trails (their serve-only final rung, see sim.TrailStore) in this
-	// directory, so repeated configurations full-skip across process
-	// restarts — typically a "trails" directory next to the explore result
-	// cache. Like that cache, the directory must be exclusive to one base
-	// configuration: the persisted key covers the per-point knobs
-	// (scheduler, forecast seeding, prefetch, workload), not the platform
-	// calibration fields of this struct. Ignored when the runner's memo is
-	// off (Bus set) or a custom base Workload is installed — the knobs then
-	// no longer identify the trace.
-	TrailDir string
 }
 
 func (c *Config) setDefaults() {
@@ -217,6 +199,12 @@ type SweepPoint struct {
 // runtime build from another under a fixed base config — scheduler, #ACs,
 // forecast seeding, prefetching, and the workload knobs (forecast seeds
 // derive from the trace).
+//
+// Every call takes one path: compile memo → runtime pool →
+// sim.RunCompiled, or for RunPointSet the grouped sim.RunCompiledSet walk.
+// A Runner never answers a point without simulating it; reusing whole
+// results is the job of the explore result cache and the serving layer's
+// response cache.
 type Runner struct {
 	base     Config
 	memo     bool      // trace memo + runtime pool are sound (no Bus rewrite)
@@ -225,20 +213,6 @@ type Runner struct {
 
 	runtimes             sync.Map // runtimeKey → *runtimePool
 	poolHits, poolMisses atomic.Int64
-
-	// trails holds completed delta-resimulation trails (sim.Trail) keyed by
-	// everything that distinguishes runs EXCEPT the container budget — the
-	// axis trails transfer across. Only complete trails are stored, and a
-	// complete trail is immutable, so lookups are lock-free reads.
-	trails                               sync.Map // trailKey → *trailSet
-	deltaServes, deltaResumes, deltaRecs atomic.Int64
-
-	// trailStore, when non-nil, persists completed trails' final rungs
-	// (Config.TrailDir) and is consulted when no in-memory trail serves —
-	// the warm-start path across process restarts.
-	trailStore             *sim.TrailStore
-	trailStoreErr          error
-	trailLoads, trailSaves atomic.Int64
 }
 
 // workKey identifies a distinct workload under a fixed base config: which
@@ -249,50 +223,6 @@ type Runner struct {
 type workKey struct {
 	scenario string
 	knobs    workload.H264Config
-}
-
-// trailKey is runtimeKey minus the budget axis: two runs with equal trail
-// keys differ at most in NumACs, which is exactly the difference
-// delta-resimulation bridges.
-type trailKey struct {
-	scheduler     string
-	seedForecasts bool
-	prefetch      bool
-	work          workKey
-}
-
-// trailSet holds the recorded trails of one budget-axis class. The mutex
-// guards the map only; the trails themselves are immutable once stored.
-type trailSet struct {
-	mu       sync.Mutex
-	byBudget map[int]*sim.Trail
-}
-
-// candidates appends the trails worth consulting for budget: the exact
-// match first (always a full skip), then every other recorded budget.
-func (ts *trailSet) candidates(budget int, dst []*sim.Trail) []*sim.Trail {
-	ts.mu.Lock()
-	if t := ts.byBudget[budget]; t != nil {
-		dst = append(dst, t)
-	}
-	for b, t := range ts.byBudget {
-		if b != budget {
-			dst = append(dst, t)
-		}
-	}
-	ts.mu.Unlock()
-	return dst
-}
-
-// store records the complete trail for budget, first-wins: under concurrent
-// recording of the same point the earliest trail sticks and later ones are
-// dropped (all are field-exact equivalent).
-func (ts *trailSet) store(budget int, t *sim.Trail) {
-	ts.mu.Lock()
-	if _, ok := ts.byBudget[budget]; !ok {
-		ts.byBudget[budget] = t
-	}
-	ts.mu.Unlock()
 }
 
 // runtimePool is a per-key free list of idle runtimes. Unlike sync.Pool it
@@ -351,170 +281,40 @@ func NewRunner(base Config) *Runner {
 	if base.ISA == nil {
 		base.ISA = isa.H264()
 	}
-	r := &Runner{base: base, memo: base.Bus == nil}
-	// Trail persistence needs the knobs to identify the trace: with the
-	// memo off or a verbatim base workload installed, equal persisted keys
-	// would not imply equal runs, so the store stays off.
-	if base.TrailDir != "" && r.memo && base.Workload == nil {
-		r.trailStore, r.trailStoreErr = sim.OpenTrailStore(base.TrailDir)
-	}
-	return r
-}
-
-// TrailPersistence reports the persisted-trail store state: the directory
-// (empty when persistence is off), the open error if any, and how many
-// runs were served from disk (loads) and persisted to it (saves).
-func (r *Runner) TrailPersistence() (dir string, err error, loads, saves int64) {
-	if r.trailStore != nil {
-		dir = r.trailStore.Dir()
-	}
-	return dir, r.trailStoreErr, r.trailLoads.Load(), r.trailSaves.Load()
-}
-
-// persistKey renders the durable identity of a trail class: the trailKey
-// fields in a stable string form. It deliberately excludes the container
-// budget (the transfer axis — the store keys files by it separately) and
-// the base platform calibration (the store directory is documented as
-// exclusive to one base configuration, exactly like the explore cache).
-func persistKey(cfg *Config, key workKey) string {
-	return fmt.Sprintf("sched=%s|sf=%t|pf=%t|scenario=%s|frames=%d|w=%d|h=%d|seed=%d|motion=%g|scene=%d",
-		cfg.Scheduler, cfg.SeedForecasts, cfg.Prefetch, key.scenario,
-		key.knobs.Frames, key.knobs.WidthMB, key.knobs.HeightMB,
-		key.knobs.Seed, key.knobs.MotionVariability, key.knobs.SceneChangeFrame)
+	return &Runner{base: base, memo: base.Bus == nil}
 }
 
 // RuntimePoolStats reports how often a RunPoint/RunPointSet runtime request
-// was served from the pool (hit) versus built fresh (miss). With the pool
-// disabled (base.Bus set) every request counts as a miss. Points served
-// entirely from a checkpoint trail never request a runtime and therefore
-// count as neither.
+// was served from the pool (hit) versus built fresh (miss). Every simulated
+// point makes exactly one request, so hits+misses counts the points run.
+// With the pool disabled (base.Bus set) every request counts as a miss.
 func (r *Runner) RuntimePoolStats() (hits, misses int64) {
 	return r.poolHits.Load(), r.poolMisses.Load()
 }
 
-// DeltaStats reports how RunPoint/RunPointSet requests were satisfied by
-// the delta-resimulation layer: serves completed without simulating at all
-// (a recorded trail transferred end to end), resumes re-simulated only a
-// suffix of the trace, and records simulated from power-on while recording
-// a new trail. Requests with delta off (DisableDelta, ineligible Collect
-// options, or a Bus-rewritten workload) count as none of the three.
-func (r *Runner) DeltaStats() (serves, resumes, records int64) {
-	return r.deltaServes.Load(), r.deltaResumes.Load(), r.deltaRecs.Load()
-}
+// DeltaStats always reports zero serves, resumes and records: every point
+// simulates through the compile memo and the runtime pool.
+//
+// Deprecated: the delta-resimulation layer these counters described no
+// longer exists.
+func (r *Runner) DeltaStats() (serves, resumes, records int64) { return 0, 0, 0 }
 
-// deltaOn reports whether delta-resimulation applies to runs of cfg: the
-// memo must be sound (trail identity relies on the same keying as the
-// runtime pool) and the collected artifacts checkpointable.
-func (r *Runner) deltaOn(cfg *Config) bool {
-	return r.memo && !cfg.DisableDelta && sim.DeltaEligible(cfg.Collect)
-}
-
-// trailSetFor returns the (lazily created) trail set of cfg's budget-axis
-// class.
-func (r *Runner) trailSetFor(cfg *Config, key workKey) *trailSet {
-	tk := trailKey{
-		scheduler:     cfg.Scheduler,
-		seedForecasts: cfg.SeedForecasts,
-		prefetch:      cfg.Prefetch,
-		work:          key,
-	}
-	v, ok := r.trails.Load(tk)
-	if !ok {
-		v, _ = r.trails.LoadOrStore(tk, &trailSet{byBudget: make(map[int]*sim.Trail)})
-	}
-	return v.(*trailSet)
-}
-
-// runPointDelta is RunPoint through the delta-resimulation layer: serve the
-// point from a recorded trail when one transfers end to end (no runtime at
-// all), otherwise resume from the deepest transferable prefix — falling
-// back to a full recording run — and store the resulting trail so future
-// requests for this budget full-skip.
-func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct *workload.Compiled, res *sim.Result) error {
-	ts := r.trailSetFor(cfg, key)
-	var buf [16]*sim.Trail
-	cands := ts.candidates(cfg.NumACs, buf[:0])
-	for _, t := range cands {
-		served, err := t.Serve(ct, cfg.NumACs, cfg.Collect, res)
-		if served {
-			if err == nil {
-				r.deltaServes.Add(1)
-			}
-			return err
-		}
-	}
-	// Nothing in memory full-skips; a trail persisted by an earlier process
-	// (same key, exact budget) still might. A loaded trail joins the
-	// in-memory set so subsequent requests skip the disk.
-	if r.trailStore != nil {
-		if t, ok := r.trailStore.Get(persistKey(cfg, key), cfg.NumACs, ct); ok {
-			if served, err := t.Serve(ct, cfg.NumACs, cfg.Collect, res); served {
-				if err == nil {
-					r.trailLoads.Add(1)
-					r.deltaServes.Add(1)
-					ts.store(cfg.NumACs, t)
-				}
-				return err
-			}
-		}
-	}
-
-	rt, pool, err := r.runtime(cfg, runtimeKey{
-		scheduler:     cfg.Scheduler,
-		numACs:        cfg.NumACs,
-		seedForecasts: cfg.SeedForecasts,
-		prefetch:      cfg.Prefetch,
-		work:          key,
-	})
-	if err != nil {
-		return err
-	}
-	crt, ok := rt.(sim.Checkpointable)
-	if !ok { // custom runtime without checkpoint support
-		err = sim.RunCompiled(ctx, ct, rt, cfg.Collect, res)
-		r.putRuntime(pool, rt)
-		return err
-	}
-	rec := new(sim.Trail)
-	resumed := false
-	for _, t := range cands {
-		used, rerr := sim.ResumeCompiled(ctx, ct, crt, cfg.Collect, res, t, rec)
-		if used {
-			resumed, err = true, rerr
-			break
-		}
-	}
-	if !resumed {
-		err = sim.RunCompiledTrail(ctx, ct, crt, cfg.Collect, res, rec)
-	}
-	r.putRuntime(pool, rt)
-	if err != nil {
-		return err // rec incomplete → discarded
-	}
-	if resumed {
-		r.deltaResumes.Add(1)
-	} else {
-		r.deltaRecs.Add(1)
-	}
-	ts.store(cfg.NumACs, rec)
-	if r.trailStore != nil {
-		// Best-effort: a failed save costs a future warm start, never the
-		// current result.
-		if err := r.trailStore.Put(persistKey(cfg, key), rec); err == nil {
-			r.trailSaves.Add(1)
-		}
-	}
-	return nil
-}
-
-// runtime returns a runtime for cfg, pooled under key when sound. A non-nil
-// pool must be handed back via putRuntime once the run completes — even a
-// failed run, since Reset restores power-on state regardless.
-func (r *Runner) runtime(cfg *Config, key runtimeKey) (sim.Runtime, *runtimePool, error) {
+// runtime returns a runtime for cfg (whose workload key is work), pooled
+// when sound. A non-nil pool must be handed back via putRuntime once the run
+// completes — even a failed run, since Reset restores power-on state
+// regardless.
+func (r *Runner) runtime(cfg *Config, work workKey) (sim.Runtime, *runtimePool, error) {
 	if !r.memo {
 		r.poolMisses.Add(1)
 		rt, err := NewRuntime(*cfg)
 		return rt, nil, err
+	}
+	key := runtimeKey{
+		scheduler:     cfg.Scheduler,
+		numACs:        cfg.NumACs,
+		seedForecasts: cfg.SeedForecasts,
+		prefetch:      cfg.Prefetch,
+		work:          work,
 	}
 	v, ok := r.runtimes.Load(key)
 	if !ok {
@@ -526,7 +326,7 @@ func (r *Runner) runtime(cfg *Config, key runtimeKey) (sim.Runtime, *runtimePool
 		return rt, pool, nil
 	}
 	r.poolMisses.Add(1)
-	materializeWorkload(cfg, key.work) // forecast seeding reads the trace
+	materializeWorkload(cfg, work) // forecast seeding reads the trace
 	rt, err := NewRuntime(*cfg)
 	if err != nil {
 		return nil, nil, err
@@ -662,16 +462,7 @@ func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Opti
 	if err != nil {
 		return err
 	}
-	if r.deltaOn(&cfg) {
-		return r.runPointDelta(ctx, &cfg, key, ct, res)
-	}
-	rt, pool, err := r.runtime(&cfg, runtimeKey{
-		scheduler:     cfg.Scheduler,
-		numACs:        cfg.NumACs,
-		seedForecasts: cfg.SeedForecasts,
-		prefetch:      cfg.Prefetch,
-		work:          key,
-	})
+	rt, pool, err := r.runtime(&cfg, key)
 	if err != nil {
 		return err
 	}
@@ -686,42 +477,14 @@ func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Opti
 // points may differ in scheduler, #ACs, forecast seeding, and prefetching,
 // but must agree on the workload knobs; results[i] receives point ps[i].
 // Each result is field-exact identical to a RunPoint of the same point.
+// collect must not request a journal: N interleaved event streams would be
+// unusable, so sim.RunCompiledSet rejects it; journal points one at a time
+// with RunPoint.
 func (r *Runner) RunPointSet(ctx context.Context, ps []explore.Point, collect sim.Options, results []*sim.Result) error {
 	if len(ps) != len(results) {
 		return fmt.Errorf("rispp: RunPointSet got %d points but %d results", len(ps), len(results))
 	}
 	if len(ps) == 0 {
-		return nil
-	}
-	cfg0, key0, err0 := r.pointConfig(ps[0], collect)
-	if err0 != nil {
-		return err0
-	}
-	if r.deltaOn(&cfg0) {
-		// Delta split: each point either full-skips from a recorded trail,
-		// resumes a prefix, or records a new trail. After the first pass
-		// over a budget grid the grouped walk below would simulate nothing
-		// anyway, so delta-eligible sets run point-wise.
-		ct, err := r.compile(&cfg0, key0)
-		if err != nil {
-			return err
-		}
-		for i, p := range ps {
-			if i > 0 {
-				if p0 := ps[0]; p.Frames != p0.Frames || p.Seed != p0.Seed ||
-					p.Motion != p0.Motion || p.SceneChange != p0.SceneChange ||
-					p.Scenario != p0.Scenario {
-					return fmt.Errorf("rispp: RunPointSet points disagree on workload knobs: %s vs %s", p0.Key(), p.Key())
-				}
-			}
-			cfg, key, err := r.pointConfig(p, collect)
-			if err != nil {
-				return err
-			}
-			if err := r.runPointDelta(ctx, &cfg, key, ct, results[i]); err != nil {
-				return err
-			}
-		}
 		return nil
 	}
 	rts := make([]sim.Runtime, len(ps))
@@ -741,13 +504,7 @@ func (r *Runner) RunPointSet(ctx context.Context, ps []explore.Point, collect si
 			p.Scenario != p0.Scenario {
 			return fmt.Errorf("rispp: RunPointSet points disagree on workload knobs: %s vs %s", p0.Key(), p.Key())
 		}
-		rt, pool, err := r.runtime(&cfg, runtimeKey{
-			scheduler:     cfg.Scheduler,
-			numACs:        cfg.NumACs,
-			seedForecasts: cfg.SeedForecasts,
-			prefetch:      cfg.Prefetch,
-			work:          key,
-		})
+		rt, pool, err := r.runtime(&cfg, key)
 		if err != nil {
 			for j := 0; j < i; j++ {
 				r.putRuntime(pools[j], rts[j])
@@ -770,11 +527,27 @@ func (r *Runner) RunPointSet(ctx context.Context, ps []explore.Point, collect si
 // that differ only in their scheduler are batched into a single pass over
 // the shared compiled trace (Runner.RunPointSet).
 func Explorer(base Config, workers int, cache *explore.Cache) *explore.Engine {
+	return newEngine(base, workers, cache, false)
+}
+
+// CheckedExplorer is Explorer with every simulated point validated by the
+// reference oracle (internal/oracle.Check): conservation of executions,
+// phase structure, the exact cycle identity, and the software upper bound.
+// A point that simulates but violates an invariant comes back as an error
+// rather than a silently wrong metric — the mode adaptive search uses, so
+// a guided optimizer can never exploit a simulator bug.
+func CheckedExplorer(base Config, workers int, cache *explore.Cache) *explore.Engine {
+	return newEngine(base, workers, cache, true)
+}
+
+// newEngine builds the engine behind Explorer and CheckedExplorer over a
+// fresh Runner; check turns on the oracle validation of every result.
+func newEngine(base Config, workers int, cache *explore.Cache, check bool) *explore.Engine {
 	rn := NewRunner(base)
 	eng := &explore.Engine{
 		Workers: workers,
-		Run:     rn.EngineRun(),
-		RunSet:  rn.EngineRunSet(),
+		Run:     rn.engineRun(check),
+		RunSet:  rn.engineRunSet(check),
 	}
 	if cache != nil { // avoid a typed-nil Store interface
 		eng.Cache = cache
@@ -785,26 +558,34 @@ func Explorer(base Config, workers int, cache *explore.Cache) *explore.Engine {
 // EngineRun adapts the Runner to the exploration engine's job signature:
 // each call runs the point into a pooled Result and condenses it to
 // explore.Metrics.
-func (r *Runner) EngineRun() explore.RunFunc {
+func (r *Runner) EngineRun() explore.RunFunc { return r.engineRun(false) }
+
+// EngineRunSet adapts Runner.RunPointSet to the engine's batched signature:
+// the points of one scheduler group run in a single pass over their shared
+// compiled trace, into pooled Results condensed to explore.Metrics.
+func (r *Runner) EngineRunSet() explore.RunSetFunc { return r.engineRunSet(false) }
+
+// engineRun is EngineRun, followed by the oracle invariant checker on the
+// result when check is set.
+func (r *Runner) engineRun(check bool) explore.RunFunc {
 	return func(ctx context.Context, p explore.Point) (explore.Metrics, error) {
 		res := r.GetResult()
 		defer r.PutResult(res)
 		if err := r.RunPoint(ctx, p, r.base.Collect, res); err != nil {
 			return explore.Metrics{}, err
 		}
-		return explore.Metrics{
-			TotalCycles:  res.TotalCycles,
-			StallCycles:  res.StallCycles,
-			SWExecutions: res.TotalSWExecutions(),
-			HWExecutions: res.TotalHWExecutions(),
-		}, nil
+		if check {
+			if err := r.check(p, res); err != nil {
+				return explore.Metrics{}, err
+			}
+		}
+		return metricsOf(res), nil
 	}
 }
 
-// EngineRunSet adapts Runner.RunPointSet to the engine's batched signature:
-// the points of one scheduler group run in a single pass over their shared
-// compiled trace, into pooled Results condensed to explore.Metrics.
-func (r *Runner) EngineRunSet() explore.RunSetFunc {
+// engineRunSet is EngineRunSet, followed by the oracle invariant checker on
+// every result of the batch when check is set.
+func (r *Runner) engineRunSet(check bool) explore.RunSetFunc {
 	return func(ctx context.Context, ps []explore.Point) ([]explore.Metrics, error) {
 		results := make([]*sim.Result, len(ps))
 		for i := range results {
@@ -820,34 +601,25 @@ func (r *Runner) EngineRunSet() explore.RunSetFunc {
 		}
 		ms := make([]explore.Metrics, len(ps))
 		for i, res := range results {
-			ms[i] = explore.Metrics{
-				TotalCycles:  res.TotalCycles,
-				StallCycles:  res.StallCycles,
-				SWExecutions: res.TotalSWExecutions(),
-				HWExecutions: res.TotalHWExecutions(),
+			if check {
+				if err := r.check(ps[i], res); err != nil {
+					return nil, err
+				}
 			}
+			ms[i] = metricsOf(res)
 		}
 		return ms, nil
 	}
 }
 
-// CheckedExplorer is Explorer with every simulated point validated by the
-// reference oracle (internal/oracle.Check): conservation of executions,
-// phase structure, the exact cycle identity, and the software upper bound.
-// A point that simulates but violates an invariant comes back as an error
-// rather than a silently wrong metric — the mode adaptive search uses, so
-// a guided optimizer can never exploit a simulator bug.
-func CheckedExplorer(base Config, workers int, cache *explore.Cache) *explore.Engine {
-	rn := NewRunner(base)
-	eng := &explore.Engine{
-		Workers: workers,
-		Run:     rn.CheckedEngineRun(),
-		RunSet:  rn.CheckedEngineRunSet(),
+// metricsOf condenses a simulation result to the engine's metrics.
+func metricsOf(res *sim.Result) explore.Metrics {
+	return explore.Metrics{
+		TotalCycles:  res.TotalCycles,
+		StallCycles:  res.StallCycles,
+		SWExecutions: res.TotalSWExecutions(),
+		HWExecutions: res.TotalHWExecutions(),
 	}
-	if cache != nil { // avoid a typed-nil Store interface
-		eng.Cache = cache
-	}
-	return eng
 }
 
 // check validates res for point p against the oracle invariants. The trace
@@ -866,59 +638,6 @@ func (r *Runner) check(p explore.Point, res *sim.Result) error {
 		return fmt.Errorf("rispp: point %s: %w", p.Key(), err)
 	}
 	return nil
-}
-
-// CheckedEngineRun is EngineRun followed by the oracle invariant checker
-// on every result.
-func (r *Runner) CheckedEngineRun() explore.RunFunc {
-	return func(ctx context.Context, p explore.Point) (explore.Metrics, error) {
-		res := r.GetResult()
-		defer r.PutResult(res)
-		if err := r.RunPoint(ctx, p, r.base.Collect, res); err != nil {
-			return explore.Metrics{}, err
-		}
-		if err := r.check(p, res); err != nil {
-			return explore.Metrics{}, err
-		}
-		return explore.Metrics{
-			TotalCycles:  res.TotalCycles,
-			StallCycles:  res.StallCycles,
-			SWExecutions: res.TotalSWExecutions(),
-			HWExecutions: res.TotalHWExecutions(),
-		}, nil
-	}
-}
-
-// CheckedEngineRunSet is EngineRunSet followed by the oracle invariant
-// checker on every result of the batch.
-func (r *Runner) CheckedEngineRunSet() explore.RunSetFunc {
-	return func(ctx context.Context, ps []explore.Point) ([]explore.Metrics, error) {
-		results := make([]*sim.Result, len(ps))
-		for i := range results {
-			results[i] = r.GetResult()
-		}
-		defer func() {
-			for _, res := range results {
-				r.PutResult(res)
-			}
-		}()
-		if err := r.RunPointSet(ctx, ps, r.base.Collect, results); err != nil {
-			return nil, err
-		}
-		ms := make([]explore.Metrics, len(ps))
-		for i, res := range results {
-			if err := r.check(ps[i], res); err != nil {
-				return nil, err
-			}
-			ms[i] = explore.Metrics{
-				TotalCycles:  res.TotalCycles,
-				StallCycles:  res.StallCycles,
-				SWExecutions: res.TotalSWExecutions(),
-				HWExecutions: res.TotalHWExecutions(),
-			}
-		}
-		return ms, nil
-	}
 }
 
 // Sweep runs the given schedulers over a range of Atom Container counts

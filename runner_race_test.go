@@ -121,10 +121,7 @@ func TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 		wantOf[p.Normalized().Key()] = res.TotalCycles
 	}
 
-	// Delta-resimulation would satisfy repeat points from trails without
-	// requesting runtimes; disable it so this stress keeps hammering the
-	// pool itself (TestDeltaTrailConcurrentUse covers the delta layer).
-	shared := NewRunner(Config{DisableDelta: true})
+	shared := NewRunner(Config{})
 	const goroutines = 8
 	const rounds = 3
 	var wg sync.WaitGroup

@@ -46,8 +46,7 @@ func TestRunPointScenarioMatchesDirect(t *testing.T) {
 }
 
 // TestRunPointScenarioReproducible: repeated runs of one scenario point —
-// which exercise the compile memo, runtime pool, and the delta trail
-// full-skip — stay field-exact.
+// which exercise the compile memo and the runtime pool — stay field-exact.
 func TestRunPointScenarioReproducible(t *testing.T) {
 	rn := NewRunner(Config{})
 	p := explore.Point{Scheduler: "HEF", NumACs: 8, Frames: 4, Seed: 1,
@@ -65,9 +64,6 @@ func TestRunPointScenarioReproducible(t *testing.T) {
 			!reflect.DeepEqual(res.Phases, first.Phases) {
 			t.Fatalf("run %d diverged from first run", i)
 		}
-	}
-	if serves, _, _ := rn.DeltaStats(); serves == 0 {
-		t.Error("repeated scenario point never full-skipped from its trail")
 	}
 }
 
@@ -102,7 +98,7 @@ func TestRunPointSetScenario(t *testing.T) {
 	}
 	ps := []explore.Point{mk("FSFR", 6), mk("HEF", 6), mk("HEF", 10), mk("Molen", 6)}
 
-	ref := NewRunner(Config{DisableDelta: true})
+	ref := NewRunner(Config{})
 	want := make([]*sim.Result, len(ps))
 	for i, p := range ps {
 		want[i] = new(sim.Result)
@@ -110,9 +106,7 @@ func TestRunPointSetScenario(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// DisableDelta forces the grouped single-pass walk (the delta path
-	// degenerates to point-wise runs).
-	rn := NewRunner(Config{DisableDelta: true})
+	rn := NewRunner(Config{})
 	got := make([]*sim.Result, len(ps))
 	for i := range got {
 		got[i] = new(sim.Result)

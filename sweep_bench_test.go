@@ -1,5 +1,5 @@
 // Benchmarks and equivalence tests of the sweep fast path introduced with
-// the runtime pool: BenchmarkSweep drives a paper-grid slice (all six
+// the runtime pool: BenchmarkSweepResim drives a paper-grid slice (all six
 // run-time systems × several AC budgets) through the grouped single-pass
 // engine path, BenchmarkSweepPerPoint drives the identical grid through the
 // pre-existing one-runtime-per-job path, so the two ns/op values measure
@@ -41,34 +41,13 @@ func executeSweep(b *testing.B, eng *explore.Engine) *explore.Result {
 	return res
 }
 
-// BenchmarkSweep measures the full sweep stack: one shared Runner with the
-// trace memo, the runtime pool, and delta-resimulation trails. The warmup
-// sweep records one trail per budget-axis class, so every point of the
-// timed iterations is served from a trail without simulating — the
-// steady-state cost of re-evaluating an already-explored grid. Single
-// worker, so ns/op is comparable to BenchmarkSweepPerPoint rather than a
-// measure of parallelism.
-func BenchmarkSweep(b *testing.B) {
-	rn := NewRunner(Config{})
-	eng := &explore.Engine{Workers: 1, Run: rn.EngineRun(), RunSet: rn.EngineRunSet()}
-	executeSweep(b, eng) // warm the trace memo and record the trails
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		executeSweep(b, eng)
-	}
-	b.StopTimer()
-	serves, resumes, records := rn.DeltaStats()
-	b.ReportMetric(float64(serves)/float64(serves+resumes+records), "delta-serve-rate")
-}
-
-// BenchmarkSweepResim is BenchmarkSweep with delta-resimulation disabled:
-// the pooled-runtime, batched single-pass walk that actually simulates
-// every point each iteration. The gap to BenchmarkSweep is what the trail
-// layer buys on repeated grids; the gap to BenchmarkSweepPerPoint is what
-// pooling+batching buy on cold ones.
+// BenchmarkSweepResim measures the full sweep stack: one shared Runner with
+// the trace memo, the runtime pool and the batched single-pass walk, which
+// simulates every point each iteration. Single worker, so ns/op is
+// comparable to BenchmarkSweepPerPoint (the gap is what pooling+batching
+// buy) rather than a measure of parallelism.
 func BenchmarkSweepResim(b *testing.B) {
-	rn := NewRunner(Config{DisableDelta: true})
+	rn := NewRunner(Config{})
 	eng := &explore.Engine{Workers: 1, Run: rn.EngineRun(), RunSet: rn.EngineRunSet()}
 	executeSweep(b, eng) // warm the trace memo and the runtime pool
 	b.ReportAllocs()
@@ -166,9 +145,7 @@ func TestRunPointSetRejectsMixedWorkloads(t *testing.T) {
 // TestRuntimePoolReuse pins the pool mechanics: the second identical run
 // must be a hit, and a Bus-configured Runner must bypass the pool entirely.
 func TestRuntimePoolReuse(t *testing.T) {
-	// Delta-resimulation would serve the repeat runs without touching the
-	// pool; disable it so the pool mechanics stay observable.
-	rn := NewRunner(Config{DisableDelta: true})
+	rn := NewRunner(Config{})
 	p := explore.Point{Scheduler: "HEF", NumACs: 10, Frames: 1, SeedForecasts: true}
 	res := rn.GetResult()
 	defer rn.PutResult(res)
