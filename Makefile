@@ -52,7 +52,7 @@ bench-baseline:
 	$(GO) run ./scripts/benchcheck -update -baseline BENCH_baseline.json < bench_baseline.txt
 	rm -f bench_baseline.txt
 
-# Snapshot the current hot-path numbers — the simulator, the grouped
+# Snapshot the current hot-path numbers — the simulator, the pooled Runner
 # sweep, and the fabric sweep (BenchmarkFabricSweep/workers=N is the
 # sharded-vs-serialized speedup table; BenchmarkFabricOverhead the
 # coordinator tax) — into BENCH_pr10.json, same format and reduction

@@ -6,7 +6,7 @@
 // Each paper artifact has one benchmark; custom metrics report the headline
 // numbers (speedups, cycle counts) so the paper-vs-measured comparison of
 // EXPERIMENTS.md can be reproduced from the bench output alone.
-package rispp
+package rispp_test
 
 import (
 	"context"
@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"rispp"
 	"rispp/internal/experiments"
 	"rispp/internal/explore"
 	"rispp/internal/hwmodel"
@@ -182,13 +183,13 @@ func BenchmarkMoleculeOps(b *testing.B) {
 // one frame of the full system at 10 ACs.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	tr := workload.H264(workload.H264Config{Frames: 1})
-	res, err := Run(Config{Scheduler: "HEF", NumACs: 10, Workload: tr, SeedForecasts: true})
+	res, err := rispp.Run(rispp.Config{Scheduler: "HEF", NumACs: 10, Workload: tr, SeedForecasts: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(Config{Scheduler: "HEF", NumACs: 10, Workload: tr, SeedForecasts: true}); err != nil {
+		if _, err := rispp.Run(rispp.Config{Scheduler: "HEF", NumACs: 10, Workload: tr, SeedForecasts: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,9 +214,9 @@ func BenchmarkAblationEviction(b *testing.B) {
 		b.Run(pol.String(), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				cfg := Config{Scheduler: "HEF", NumACs: 10, Workload: tr, SeedForecasts: true}
+				cfg := rispp.Config{Scheduler: "HEF", NumACs: 10, Workload: tr, SeedForecasts: true}
 				cfg.Eviction = pol
-				res, err := Run(cfg)
+				res, err := rispp.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -234,8 +235,8 @@ func BenchmarkAblationMonitorShift(b *testing.B) {
 		b.Run(string(rune('0'+shift)), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				cfg := Config{Scheduler: "HEF", NumACs: 10, Workload: tr, SeedForecasts: true, MonitorShift: shift}
-				res, err := Run(cfg)
+				cfg := rispp.Config{Scheduler: "HEF", NumACs: 10, Workload: tr, SeedForecasts: true, MonitorShift: shift}
+				res, err := rispp.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -264,8 +265,8 @@ func BenchmarkAblationSelection(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				cfg := Config{Scheduler: "HEF", NumACs: 8, Workload: tr, SeedForecasts: true, ExhaustiveSelection: mode.ex}
-				res, err := Run(cfg)
+				cfg := rispp.Config{Scheduler: "HEF", NumACs: 8, Workload: tr, SeedForecasts: true, ExhaustiveSelection: mode.ex}
+				res, err := rispp.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -334,7 +335,7 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(Config{Scheduler: "HEF", NumACs: 40, Workload: tr,
+				res, err := rispp.Run(rispp.Config{Scheduler: "HEF", NumACs: 40, Workload: tr,
 					SeedForecasts: true, Prefetch: mode.on})
 				if err != nil {
 					b.Fatal(err)
@@ -355,7 +356,7 @@ func BenchmarkAblationBenefitNormalization(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(Config{Scheduler: name, NumACs: 14, Workload: tr, SeedForecasts: true})
+				res, err := rispp.Run(rispp.Config{Scheduler: name, NumACs: 14, Workload: tr, SeedForecasts: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -377,11 +378,11 @@ func BenchmarkAblationReconfigBandwidth(b *testing.B) {
 		b.Run(fmt.Sprintf("%dMBps", mbps), func(b *testing.B) {
 			var hef, molen int64
 			for i := 0; i < b.N; i++ {
-				rh, err := Run(Config{Scheduler: "HEF", NumACs: 14, Workload: tr, SeedForecasts: true, Timing: timing})
+				rh, err := rispp.Run(rispp.Config{Scheduler: "HEF", NumACs: 14, Workload: tr, SeedForecasts: true, Timing: timing})
 				if err != nil {
 					b.Fatal(err)
 				}
-				rm, err := Run(Config{Scheduler: "Molen", NumACs: 14, Workload: tr, SeedForecasts: true, Timing: timing})
+				rm, err := rispp.Run(rispp.Config{Scheduler: "Molen", NumACs: 14, Workload: tr, SeedForecasts: true, Timing: timing})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -404,12 +405,12 @@ func BenchmarkAblationBusContention(b *testing.B) {
 			var hef, molen int64
 			for i := 0; i < b.N; i++ {
 				bus := &membus.Config{Policy: membus.CPUPriority, CPULoad: load}
-				rh, err := Run(Config{Scheduler: "HEF", NumACs: 14, Workload: tr, SeedForecasts: true, Bus: bus})
+				rh, err := rispp.Run(rispp.Config{Scheduler: "HEF", NumACs: 14, Workload: tr, SeedForecasts: true, Bus: bus})
 				if err != nil {
 					b.Fatal(err)
 				}
 				bus2 := &membus.Config{Policy: membus.CPUPriority, CPULoad: load}
-				rm, err := Run(Config{Scheduler: "Molen", NumACs: 14, Workload: tr, SeedForecasts: true, Bus: bus2})
+				rm, err := rispp.Run(rispp.Config{Scheduler: "Molen", NumACs: 14, Workload: tr, SeedForecasts: true, Bus: bus2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -436,7 +437,7 @@ func BenchmarkExploreParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
 			var total int64
 			for i := 0; i < b.N; i++ {
-				eng := Explorer(Config{Workload: tr}, workers, nil)
+				eng := rispp.Explorer(rispp.Config{Workload: tr}, workers, nil)
 				res, err := eng.Execute(context.Background(), spec, nil)
 				if err != nil {
 					b.Fatal(err)

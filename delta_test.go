@@ -62,38 +62,6 @@ func TestDeltaSweepMatchesDisabled(t *testing.T) {
 	}
 }
 
-// TestDeltaRunPointSetMatchesRunPoint: the grouped single-pass walk must
-// give the same results as point-wise runs, also on its second pass over
-// pooled runtimes.
-func TestDeltaRunPointSetMatchesRunPoint(t *testing.T) {
-	pts := deltaGrid()
-	rn := NewRunner(Config{})
-	want := make([]int64, len(pts))
-	ref := NewRunner(Config{})
-	for i, p := range pts {
-		res := new(sim.Result)
-		if err := ref.RunPoint(context.Background(), p, sim.Options{}, res); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res.TotalCycles
-	}
-	for pass := 0; pass < 2; pass++ {
-		results := make([]*sim.Result, len(pts))
-		for i := range results {
-			results[i] = new(sim.Result)
-		}
-		if err := rn.RunPointSet(context.Background(), pts, sim.Options{}, results); err != nil {
-			t.Fatal(err)
-		}
-		for i := range pts {
-			if results[i].TotalCycles != want[i] {
-				t.Errorf("pass %d, %s/%d ACs: got %d cycles, want %d",
-					pass, pts[i].Scheduler, pts[i].NumACs, results[i].TotalCycles, want[i])
-			}
-		}
-	}
-}
-
 // TestDeltaJournalBytes: repeating a point through a reused Runner (pooled
 // runtime, recycled Result) must reproduce the journal byte-for-byte.
 func TestDeltaJournalBytes(t *testing.T) {
@@ -132,9 +100,9 @@ func TestDeltaDisabledForIneligibleCollect(t *testing.T) {
 }
 
 // TestDeltaTrailConcurrentUse shares one Runner between serve-style point
-// traffic and grouped sweeps, all budgets racing on the same compile memo
-// and runtime pools, and checks every result against a reference from a
-// separate Runner. Run under -race.
+// traffic and sweeps walking the grid one scheduler group at a time, all
+// budgets racing on the same compile memo and runtime pools, and checks
+// every result against a reference from a separate Runner. Run under -race.
 func TestDeltaTrailConcurrentUse(t *testing.T) {
 	pts := deltaGrid()
 	groups := map[string][]explore.Point{}
@@ -178,22 +146,19 @@ func TestDeltaTrailConcurrentUse(t *testing.T) {
 					}
 					continue
 				}
-				for _, ps := range groups { // grouped sweeps
-					results := make([]*sim.Result, len(ps))
-					for i := range results {
-						results[i] = shared.GetResult()
-					}
-					if err := shared.RunPointSet(context.Background(), ps, sim.Options{}, results); err != nil {
-						t.Errorf("goroutine %d: %v", g, err)
-						return
-					}
-					for i, p := range ps {
-						if w := want[p.Normalized().Key()]; results[i].TotalCycles != w {
-							t.Errorf("goroutine %d, %s/%d ACs: got %d cycles, want %d",
-								g, p.Scheduler, p.NumACs, results[i].TotalCycles, w)
+				for _, ps := range groups { // sweeps, one scheduler group at a time
+					for _, p := range ps {
+						res := shared.GetResult()
+						if err := shared.RunPoint(context.Background(), p, sim.Options{}, res); err != nil {
+							t.Errorf("goroutine %d: %v", g, err)
 							return
 						}
-						shared.PutResult(results[i])
+						if w := want[p.Normalized().Key()]; res.TotalCycles != w {
+							t.Errorf("goroutine %d, %s/%d ACs: got %d cycles, want %d",
+								g, p.Scheduler, p.NumACs, res.TotalCycles, w)
+							return
+						}
+						shared.PutResult(res)
 					}
 				}
 			}

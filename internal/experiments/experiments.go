@@ -8,19 +8,16 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
+	"rispp"
 	"rispp/internal/explore"
 	"rispp/internal/isa"
 	"rispp/internal/molecule"
-	"rispp/internal/molen"
 	"rispp/internal/reconfig"
 	"rispp/internal/sched"
 	"rispp/internal/sim"
 	"rispp/internal/stats"
 	"rispp/internal/workload"
-
-	"rispp/internal/core"
 )
 
 // Params controls experiment sizing; the zero value reproduces the paper's
@@ -48,46 +45,26 @@ func (p *Params) setDefaults() {
 	}
 }
 
-// newRISPP builds a seeded RISPP manager.
-func newRISPP(is *isa.ISA, tr *workload.Trace, scheduler string, acs int) *core.Manager {
-	s, err := sched.New(scheduler)
-	if err != nil {
-		panic(err)
-	}
-	m := core.NewManager(core.Config{ISA: is, NumACs: acs, Scheduler: s})
-	m.SeedFromTrace(tr)
-	return m
-}
-
-// newMolen builds a seeded Molen-like baseline.
-func newMolen(is *isa.ISA, tr *workload.Trace, acs int) *molen.Runtime {
-	r := molen.New(molen.Config{ISA: is, NumACs: acs})
-	r.SeedFromTrace(tr)
-	return r
-}
-
-// runPoint simulates one (system, ACs) cell.
+// runPoint simulates one (system, ACs) cell of trace tr with seeded
+// forecasts; system is a scheduler name, "Molen" or "software".
 func runPoint(is *isa.ISA, tr *workload.Trace, system string, acs int, opts sim.Options) *sim.Result {
-	var rt sim.Runtime
-	if system == "Molen" {
-		rt = newMolen(is, tr, acs)
-	} else {
-		rt = newRISPP(is, tr, system, acs)
-	}
-	res, err := sim.Run(tr, is, rt, opts)
+	res, err := rispp.Run(rispp.Config{
+		ISA: is, Workload: tr, Scheduler: system, NumACs: acs,
+		SeedForecasts: true, Collect: opts,
+	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s/%d ACs: %v", system, acs, err))
 	}
 	return res
 }
 
-// sweep runs systems × ACs through the exploration engine: parallel on a
-// bounded worker pool (ISA and trace are read-only during simulation), with
-// optional result caching keyed by the full design point. The trace is
-// compiled once for the whole sweep and Result buffers are pooled, so each
-// point only pays for runtime construction and simulation.
-func sweep(is *isa.ISA, tr *workload.Trace, systems []string, acs []int, p Params) map[string]map[int]int64 {
-	var cache explore.Store // non-nil only when a directory is configured
+// sweep runs systems × ACs over the paper's H.264 trace of p.Frames frames
+// through the exploration engine of rispp.Explorer: parallel on a bounded
+// worker pool, with optional result caching keyed by the full design point.
+// The trace is generated and compiled once, on the first uncached point, so
+// a fully cached sweep never builds it.
+func sweep(systems []string, p Params) map[string]map[int]int64 {
+	var cache *explore.Cache // non-nil only when a directory is configured
 	if p.CacheDir != "" {
 		c, err := explore.OpenCache(p.CacheDir)
 		if err != nil {
@@ -95,43 +72,10 @@ func sweep(is *isa.ISA, tr *workload.Trace, systems []string, acs []int, p Param
 		}
 		cache = c
 	}
-	ct, err := workload.Compile(tr, is)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: compile trace: %v", err))
-	}
-	var results sync.Pool
-	eng := &explore.Engine{
-		Workers: p.Workers,
-		Cache:   cache,
-		Run: func(ctx context.Context, pt explore.Point) (explore.Metrics, error) {
-			var rt sim.Runtime
-			if pt.Scheduler == "Molen" {
-				rt = newMolen(is, tr, pt.NumACs)
-			} else {
-				rt = newRISPP(is, tr, pt.Scheduler, pt.NumACs)
-			}
-			res, _ := results.Get().(*sim.Result)
-			if res == nil {
-				res = new(sim.Result)
-			}
-			if err := sim.RunCompiled(ctx, ct, rt, sim.Options{}, res); err != nil {
-				results.Put(res)
-				return explore.Metrics{}, err
-			}
-			m := explore.Metrics{
-				TotalCycles:  res.TotalCycles,
-				StallCycles:  res.StallCycles,
-				SWExecutions: res.TotalSWExecutions(),
-				HWExecutions: res.TotalHWExecutions(),
-			}
-			results.Put(res)
-			return m, nil
-		},
-	}
 	// Frames is part of the point so that cached results from differently
 	// sized sweeps can never collide.
-	spec := explore.Spec{Schedulers: systems, ACs: acs, Frames: []int{p.Frames}}
-	r, err := eng.Execute(context.Background(), spec, nil)
+	spec := explore.Spec{Schedulers: systems, ACs: p.ACs, Frames: []int{p.Frames}, SeedForecasts: []bool{true}}
+	r, err := rispp.Explorer(rispp.Config{}, p.Workers, cache).Execute(context.Background(), spec, nil)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: sweep: %v", err))
 	}
@@ -326,9 +270,7 @@ type Fig7Result struct {
 // encoding the CIF sequence.
 func Fig7(p Params) *Fig7Result {
 	p.setDefaults()
-	is := isa.H264()
-	tr := workload.H264(workload.H264Config{Frames: p.Frames})
-	cycles := sweep(is, tr, sched.Names, p.ACs, p)
+	cycles := sweep(sched.Names, p)
 
 	tb := &stats.Table{Header: append([]string{"#ACs"}, sched.Names...)}
 	for _, n := range p.ACs {
@@ -361,9 +303,7 @@ type Table2Result struct {
 // Molen-like baseline over the AC range.
 func Table2(p Params) *Table2Result {
 	p.setDefaults()
-	is := isa.H264()
-	tr := workload.H264(workload.H264Config{Frames: p.Frames})
-	cycles := sweep(is, tr, []string{"ASF", "HEF", "Molen"}, p.ACs, p)
+	cycles := sweep([]string{"ASF", "HEF", "Molen"}, p)
 
 	r := &Table2Result{ACs: p.ACs}
 	tb := &stats.Table{Header: []string{"#ACs", "HEF vs ASF", "ASF vs Molen", "HEF vs Molen"}}
@@ -437,10 +377,7 @@ func SoftwareBaseline(p Params) (*sim.Result, string) {
 	p.setDefaults()
 	is := isa.H264()
 	tr := workload.H264(workload.H264Config{Frames: p.Frames})
-	res, err := sim.Run(tr, is, sim.Software(is), sim.Options{})
-	if err != nil {
-		panic(err)
-	}
+	res := runPoint(is, tr, "software", 0, sim.Options{})
 	txt := fmt.Sprintf("Pure software (0 ACs), %d frames: %d cycles (paper: 7,403M for 140 frames)\n",
 		p.Frames, res.TotalCycles)
 	return res, txt

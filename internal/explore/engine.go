@@ -51,22 +51,21 @@ func (r Record) OK() bool { return r.Err == "" }
 // goroutines; implementations must not share mutable state across calls.
 type RunFunc func(ctx context.Context, p Point) (Metrics, error)
 
-// RunSetFunc simulates a batch of design points that share one workload and
-// differ only in their run-time system (scheduler), returning one Metrics
-// per point in input order. The engine calls it from multiple goroutines.
+// RunSetFunc simulated a batch of design points that shared one workload,
+// returning one Metrics per point in input order.
+//
+// Deprecated: the engine no longer batches points; see Engine.RunSet.
 type RunSetFunc func(ctx context.Context, ps []Point) ([]Metrics, error)
 
-// Engine executes sweep specs on a bounded worker pool.
+// Engine executes sweep specs on a bounded worker pool: every uncached
+// point is one call of Run.
 type Engine struct {
 	// Run simulates one point (required).
 	Run RunFunc
-	// RunSet, when non-nil, batches the points of each scheduler group —
-	// points identical except for Point.Scheduler — into one call, letting
-	// the backend walk the shared compiled trace once for all systems of a
-	// grid point (sim.RunCompiledSet). Workers then operate on groups
-	// instead of single points; records, their order, and the cache
-	// behavior are unchanged. Cached points are excluded from the batch; a
-	// RunSet error fails every uncached point of its group.
+	// RunSet is ignored.
+	//
+	// Deprecated: a grouped walk over several points of one workload was
+	// no faster than running them one by one through Run, and was removed.
 	RunSet RunSetFunc
 	// Workers bounds the pool; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
@@ -140,8 +139,8 @@ func (e *Engine) Execute(ctx context.Context, spec Spec, w io.Writer) (*Result, 
 // exactly what Expand, or a search space built from one, produces. Batch
 // drivers that already hold canonical points (internal/search proposes from
 // a space normalized once at construction) use this to avoid re-normalizing
-// every batch; everything else — streaming, ordering, grouping, caching —
-// matches Execute.
+// every batch; everything else — streaming, ordering, caching — matches
+// Execute.
 func (e *Engine) ExecutePoints(ctx context.Context, jobs []Point, w io.Writer) (*Result, error) {
 	if e.Run == nil {
 		return nil, errors.New("explore: Engine.Run is nil")
@@ -188,39 +187,12 @@ func (e *Engine) ExecutePoints(ctx context.Context, jobs []Point, w io.Writer) (
 		}
 	}
 
-	// The unit of worker dispatch is a group of job indices. Without RunSet
-	// every job is its own group; with RunSet, jobs that differ only in
-	// their scheduler form one group and are simulated in a single pass
-	// over the shared compiled trace.
-	groups := make([][]int, 0, len(jobs))
-	if e.RunSet == nil {
-		for i := range jobs {
-			groups = append(groups, []int{i})
-		}
-	} else {
-		byKey := make(map[string]int, len(jobs))
-		for i, p := range jobs {
-			p.Scheduler = ""
-			k := p.Key()
-			gi, ok := byKey[k]
-			if !ok {
-				gi = len(groups)
-				byKey[k] = gi
-				groups = append(groups, nil)
-			}
-			groups[gi] = append(groups[gi], i)
-		}
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-
 	idx := make(chan int)
 	go func() {
 		defer close(idx)
-		for gi := range groups {
+		for i := range jobs {
 			select {
-			case idx <- gi:
+			case idx <- i:
 			case <-ctx.Done():
 				return
 			}
@@ -231,14 +203,8 @@ func (e *Engine) ExecutePoints(ctx context.Context, jobs []Point, w io.Writer) (
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for gi := range idx {
-				if g := groups[gi]; len(g) == 1 || e.RunSet == nil {
-					for _, i := range g {
-						finish(i, e.runJob(ctx, jobs[i]))
-					}
-				} else {
-					e.runGroup(ctx, jobs, g, finish)
-				}
+			for i := range idx {
+				finish(i, e.runJob(ctx, jobs[i]))
 			}
 		}()
 	}
@@ -291,65 +257,6 @@ func (e *Engine) runJob(ctx context.Context, p Point) (rec Record) {
 		}
 	}
 	return rec
-}
-
-// runGroup measures a scheduler group in one RunSet call. Cache lookups,
-// cancellation, and cache fills match runJob point-for-point; only the
-// simulation itself is batched. An error (or panic) in RunSet fails every
-// point that was in the batch.
-func (e *Engine) runGroup(ctx context.Context, jobs []Point, group []int, finish func(int, Record)) {
-	pending := make([]int, 0, len(group))
-	for _, i := range group {
-		p := jobs[i]
-		if e.Cache != nil {
-			if m, ok := e.Cache.Get(p); ok {
-				finish(i, Record{Point: p, Metrics: m, Cached: true})
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return
-	}
-	if err := ctx.Err(); err != nil {
-		for _, i := range pending {
-			finish(i, Record{Point: jobs[i], Err: "skipped: " + err.Error()})
-		}
-		return
-	}
-	ps := make([]Point, len(pending))
-	for k, i := range pending {
-		ps[k] = jobs[i]
-	}
-	ms, err := e.safeRunSet(ctx, ps)
-	if err == nil && len(ms) != len(ps) {
-		err = fmt.Errorf("explore: RunSet returned %d metrics for %d points", len(ms), len(ps))
-	}
-	if err != nil {
-		for _, i := range pending {
-			finish(i, Record{Point: jobs[i], Err: err.Error()})
-		}
-		return
-	}
-	for k, i := range pending {
-		rec := Record{Point: ps[k], Metrics: ms[k]}
-		if e.Cache != nil {
-			if err := e.Cache.Put(ps[k], ms[k]); err != nil {
-				rec.CacheWarn = err.Error()
-			}
-		}
-		finish(i, rec)
-	}
-}
-
-func (e *Engine) safeRunSet(ctx context.Context, ps []Point) (ms []Metrics, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return e.RunSet(ctx, ps)
 }
 
 func (e *Engine) safeRun(ctx context.Context, p Point) (m Metrics, err error) {

@@ -14,7 +14,7 @@ func BenchmarkSearchDriver(b *testing.B) {
 	spec := convergenceSpec()
 	for _, strat := range StrategyNames() {
 		b.Run(strat, func(b *testing.B) {
-			eng := fakeEngine(true, 1)
+			eng := fakeEngine(1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				out, err := Run(context.Background(), eng, spec, Config{

@@ -19,9 +19,8 @@ type Config struct {
 	// Budget caps the number of evaluated points (result-cache hits
 	// included — an observation is an observation). Must be positive.
 	Budget int
-	// BatchSize caps the points proposed per round (0: 16). Batches run
-	// through the engine's grouped RunSet path, so points of one batch
-	// that differ only in scheduler share a single trace walk.
+	// BatchSize caps the points proposed per round (0: 16). The points of
+	// one batch run concurrently on the engine's worker pool.
 	BatchSize int
 	// Stream, when non-nil, receives every evaluated record as JSONL in
 	// visit order — the same bytes a grid sweep of exactly the visited
@@ -96,14 +95,14 @@ const journalVersion = 1
 // Run executes a budgeted adaptive search over the engine. The spec is
 // expanded and normalized exactly once, into the search space; every batch
 // the strategy proposes is submitted pre-normalized through
-// Engine.ExecutePoints (grouped RunSet path, result cache, per-job panic
-// recovery all apply). Every evaluated point is fed back to the strategy
-// and offered to the incremental Pareto front.
+// Engine.ExecutePoints (worker pool, result cache, per-job panic recovery
+// all apply). Every evaluated point is fed back to the strategy and
+// offered to the incremental Pareto front.
 //
 // Determinism: with a deterministic engine (the simulator is pure), equal
 // (spec, Config) produce byte-identical Stream and Journal output and an
-// identical front, at any engine worker count, with the grouped path on or
-// off, and with a cold or warm result cache.
+// identical front, at any engine worker count and with a cold or warm
+// result cache.
 //
 // On context cancellation the partial outcome is returned with ctx's
 // error; the journal still ends with the front over the completed prefix.

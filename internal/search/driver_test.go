@@ -28,9 +28,8 @@ func fakeCycles(p explore.Point) (int64, error) {
 	return work + off + pen, nil
 }
 
-// fakeEngine builds an engine over fakeCycles. withSet additionally enables
-// the grouped RunSet path; workers sets the pool size.
-func fakeEngine(withSet bool, workers int) *explore.Engine {
+// fakeEngine builds an engine over fakeCycles; workers sets the pool size.
+func fakeEngine(workers int) *explore.Engine {
 	run := func(ctx context.Context, p explore.Point) (explore.Metrics, error) {
 		c, err := fakeCycles(p)
 		if err != nil {
@@ -38,21 +37,7 @@ func fakeEngine(withSet bool, workers int) *explore.Engine {
 		}
 		return explore.Metrics{TotalCycles: c, StallCycles: c / 10}, nil
 	}
-	eng := &explore.Engine{Run: run, Workers: workers}
-	if withSet {
-		eng.RunSet = func(ctx context.Context, ps []explore.Point) ([]explore.Metrics, error) {
-			out := make([]explore.Metrics, len(ps))
-			for i, p := range ps {
-				m, err := run(ctx, p)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = m
-			}
-			return out, nil
-		}
-	}
-	return eng
+	return &explore.Engine{Run: run, Workers: workers}
 }
 
 // convergenceSpec is the ≥500-point joint space of the convergence and
@@ -87,10 +72,8 @@ func TestRunDeterminism(t *testing.T) {
 				eng  *explore.Engine
 			}
 			variants := []variant{
-				{"plain", fakeEngine(false, 1)},
-				{"grouped", fakeEngine(true, 1)},
-				{"parallel", fakeEngine(false, 8)},
-				{"grouped-parallel", fakeEngine(true, 8)},
+				{"plain", fakeEngine(1)},
+				{"parallel", fakeEngine(8)},
 			}
 			var wantJournal, wantStream []byte
 			var wantFront []FrontPoint
@@ -123,7 +106,7 @@ func TestRunDeterminism(t *testing.T) {
 
 			// Warm cache over the same engine: journal must not change
 			// (Eval.Cached is excluded from the serialization).
-			eng := fakeEngine(true, 4)
+			eng := fakeEngine(4)
 			cache, err := explore.OpenCache(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
@@ -157,7 +140,7 @@ func TestRunJournalReplays(t *testing.T) {
 	spec := convergenceSpec()
 	for _, strat := range StrategyNames() {
 		var journal bytes.Buffer
-		out, err := Run(context.Background(), fakeEngine(true, 4), spec, Config{
+		out, err := Run(context.Background(), fakeEngine(4), spec, Config{
 			Strategy: strat, Seed: 3, Budget: 40, Journal: &journal,
 		})
 		if err != nil {
@@ -196,7 +179,7 @@ func TestRunJournalReplays(t *testing.T) {
 func TestRunBudgetAndUniqueProposals(t *testing.T) {
 	spec := convergenceSpec()
 	for _, strat := range StrategyNames() {
-		out, err := Run(context.Background(), fakeEngine(false, 2), spec, Config{
+		out, err := Run(context.Background(), fakeEngine(2), spec, Config{
 			Strategy: strat, Seed: 11, Budget: 35, BatchSize: 10,
 		})
 		if err != nil {
@@ -223,7 +206,7 @@ func TestRunExhaustsSmallSpace(t *testing.T) {
 		Frames:     []int{1},
 	}
 	for _, strat := range StrategyNames() {
-		out, err := Run(context.Background(), fakeEngine(false, 1), spec, Config{
+		out, err := Run(context.Background(), fakeEngine(1), spec, Config{
 			Strategy: strat, Seed: 1, Budget: 100, BatchSize: 4,
 		})
 		if err != nil {
@@ -233,7 +216,7 @@ func TestRunExhaustsSmallSpace(t *testing.T) {
 			t.Errorf("%s: evaluated %d of a 6-point space under a 100 budget", strat, out.Evaluated)
 		}
 		// At full coverage, every strategy's front is the true front.
-		full, err := Run(context.Background(), fakeEngine(false, 1), spec, Config{
+		full, err := Run(context.Background(), fakeEngine(1), spec, Config{
 			Strategy: "random", Seed: 99, Budget: 6,
 		})
 		if err != nil {
@@ -246,7 +229,7 @@ func TestRunExhaustsSmallSpace(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	eng := fakeEngine(false, 1)
+	eng := fakeEngine(1)
 	if _, err := Run(context.Background(), eng, convergenceSpec(), Config{Strategy: "random"}); err == nil {
 		t.Error("zero budget accepted")
 	}
@@ -303,7 +286,7 @@ func TestConvergence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		fronts := make(map[string]*Front)
 		for _, strat := range StrategyNames() {
-			out, err := Run(context.Background(), fakeEngine(true, 4), spec, Config{
+			out, err := Run(context.Background(), fakeEngine(4), spec, Config{
 				Strategy: strat, Seed: seed, Budget: budget,
 			})
 			if err != nil {

@@ -1,6 +1,5 @@
 // Race stress of the runtime pool: concurrent /v1/simulate requests and
-// explore.Engine sweeps — batched through the single-pass RunSet path —
-// hammer one shared rispp.Runner, checking every concurrent measurement
+// explore.Engine sweeps hammer one shared rispp.Runner, checking every concurrent measurement
 // against a sequential baseline. Run under -race (the CI race job does).
 package serve
 
@@ -66,13 +65,12 @@ func TestSimulateAndEngineSweepShareRunnerRaceFree(t *testing.T) {
 			}
 		}(g)
 	}
-	// The other half: engine sweeps on the server's own Runner, through the
-	// batched single-pass path (scheduler groups share one trace walk).
+	// The other half: engine sweeps on the server's own Runner.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			eng := &explore.Engine{Workers: 2, Run: s.runner.EngineRun(), RunSet: s.runner.EngineRunSet()}
+			eng := &explore.Engine{Workers: 2, Run: s.runner.EngineRun()}
 			for round := 0; round < rounds; round++ {
 				res, err := eng.Execute(context.Background(), spec, nil)
 				if err != nil {

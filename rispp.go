@@ -176,13 +176,15 @@ type SweepPoint struct {
 }
 
 // Runner materializes explore.Points as full simulation runs over a base
-// Config, sharing per-run scratch across calls: traces are compiled once
-// per distinct workload-knob combination (the compiled form is immutable
-// and race-free to share) and sim.Result buffers are recycled through a
-// sync.Pool, so a steady stream of points re-pays neither trace lowering
-// nor result allocation per run. A Runner is safe for concurrent use; both
-// the exploration engine (Explorer) and the HTTP serving layer
-// (internal/serve) run their points through one.
+// Config, sharing per-run scratch across calls: traces are generated and
+// compiled once per distinct workload-knob combination (the compiled form is
+// immutable and race-free to share; concurrent first requests for one
+// workload wait for a single generation) and sim.Result buffers are recycled
+// through a sync.Pool, so a steady stream of points re-pays neither trace
+// lowering nor result allocation per run. A Runner is safe for concurrent
+// use; the exploration engine (Explorer), the paper experiments
+// (internal/experiments) and the HTTP serving layer (internal/serve) all run
+// their points through one.
 //
 // When base.Workload is nil, the point's workload knobs (frames, seed,
 // motion variability, scene change) build the H.264 trace — or, when the
@@ -198,10 +200,9 @@ type SweepPoint struct {
 // allocating. The pool is keyed by everything that distinguishes one
 // runtime build from another under a fixed base config — scheduler, #ACs,
 // forecast seeding, prefetching, and the workload knobs (forecast seeds
-// derive from the trace).
+// derive from the trace, which a fresh build reads from the compile memo).
 //
-// Every call takes one path: compile memo → runtime pool →
-// sim.RunCompiled, or for RunPointSet the grouped sim.RunCompiledSet walk.
+// Every call takes one path: compile memo → runtime pool → sim.RunCompiled.
 // A Runner never answers a point without simulating it; reusing whole
 // results is the job of the explore result cache and the serving layer's
 // response cache.
@@ -209,7 +210,7 @@ type Runner struct {
 	base     Config
 	memo     bool      // trace memo + runtime pool are sound (no Bus rewrite)
 	results  sync.Pool // *sim.Result, reused across runs
-	compiled sync.Map  // workKey → *workload.Compiled
+	compiled sync.Map  // workKey → *compiledSlot
 
 	runtimes             sync.Map // runtimeKey → *runtimePool
 	poolHits, poolMisses atomic.Int64
@@ -223,6 +224,15 @@ type Runner struct {
 type workKey struct {
 	scenario string
 	knobs    workload.H264Config
+}
+
+// compiledSlot is one compile-memo entry. The first RunPoint on a workload
+// key generates and compiles the trace inside once; concurrent requests for
+// the same key wait for it instead of generating their own copy.
+type compiledSlot struct {
+	once sync.Once
+	ct   *workload.Compiled
+	err  error
 }
 
 // runtimePool is a per-key free list of idle runtimes. Unlike sync.Pool it
@@ -284,7 +294,7 @@ func NewRunner(base Config) *Runner {
 	return &Runner{base: base, memo: base.Bus == nil}
 }
 
-// RuntimePoolStats reports how often a RunPoint/RunPointSet runtime request
+// RuntimePoolStats reports how often a RunPoint runtime request
 // was served from the pool (hit) versus built fresh (miss). Every simulated
 // point makes exactly one request, so hits+misses counts the points run.
 // With the pool disabled (base.Bus set) every request counts as a miss.
@@ -300,7 +310,8 @@ func (r *Runner) RuntimePoolStats() (hits, misses int64) {
 func (r *Runner) DeltaStats() (serves, resumes, records int64) { return 0, 0, 0 }
 
 // runtime returns a runtime for cfg (whose workload key is work), pooled
-// when sound. A non-nil pool must be handed back via putRuntime once the run
+// when sound; cfg.Workload must be set, since forecast seeding reads it. A
+// non-nil pool must be handed back via putRuntime once the run
 // completes — even a failed run, since Reset restores power-on state
 // regardless.
 func (r *Runner) runtime(cfg *Config, work workKey) (sim.Runtime, *runtimePool, error) {
@@ -326,7 +337,6 @@ func (r *Runner) runtime(cfg *Config, work workKey) (sim.Runtime, *runtimePool, 
 		return rt, pool, nil
 	}
 	r.poolMisses.Add(1)
-	materializeWorkload(cfg, work) // forecast seeding reads the trace
 	rt, err := NewRuntime(*cfg)
 	if err != nil {
 		return nil, nil, err
@@ -343,9 +353,9 @@ func (r *Runner) putRuntime(pool *runtimePool, rt sim.Runtime) {
 // pointConfig materializes point p over the base config and returns it with
 // the workload memo key (zeroed when the base pins a shared trace). When
 // memoization is on, cfg.Workload is left nil for generator-driven traces:
-// generating the trace is only necessary on a memo or runtime-pool miss,
-// and materializeWorkload fills it in exactly there. The steady state —
-// warm memo, warm pool — therefore touches neither the ISA builder nor the
+// generating the trace is only necessary on a compile-memo miss, and
+// materializeWorkload fills it in exactly there. Every other run — warm
+// memo, warm or cold runtime pool — touches neither the ISA builder nor the
 // trace generator.
 //
 // A point naming a scenario swaps in that scenario's ISA (the merged
@@ -399,8 +409,8 @@ func (r *Runner) pointConfig(p explore.Point, collect sim.Options) (Config, work
 	return cfg, key, nil
 }
 
-// materializeWorkload generates the generator-driven trace if pointConfig
-// left it lazy (memo on, no pinned base workload). A scenario key always
+// materializeWorkload generates the generator-driven trace for a compile-memo
+// miss if pointConfig left it lazy (memo on, no pinned base workload). A scenario key always
 // resolves: pointConfig already verified the name.
 func materializeWorkload(cfg *Config, key workKey) {
 	if cfg.Workload != nil {
@@ -427,31 +437,30 @@ func (r *Runner) GetResult() *sim.Result {
 // retain any reference into it afterwards.
 func (r *Runner) PutResult(res *sim.Result) { r.results.Put(res) }
 
-// compile lowers cfg's workload, memoizing per workload key when sound.
+// compile lowers cfg's workload, memoizing per workload key when sound: the
+// first call on a key generates and compiles the trace, and every other
+// call — concurrent ones included — shares that result.
 func (r *Runner) compile(cfg *Config, key workKey) (*workload.Compiled, error) {
-	if r.memo {
-		if v, ok := r.compiled.Load(key); ok {
-			return v.(*workload.Compiled), nil
-		}
+	if !r.memo {
+		return workload.Compile(cfg.Workload, cfg.ISA)
 	}
-	materializeWorkload(cfg, key)
-	ct, err := workload.Compile(cfg.Workload, cfg.ISA)
-	if err != nil {
-		return nil, err
+	v, ok := r.compiled.Load(key)
+	if !ok {
+		v, _ = r.compiled.LoadOrStore(key, new(compiledSlot))
 	}
-	if r.memo {
-		if v, loaded := r.compiled.LoadOrStore(key, ct); loaded {
-			ct = v.(*workload.Compiled)
-		}
-	}
-	return ct, nil
+	slot := v.(*compiledSlot)
+	slot.once.Do(func() {
+		materializeWorkload(cfg, key)
+		slot.ct, slot.err = workload.Compile(cfg.Workload, cfg.ISA)
+	})
+	return slot.ct, slot.err
 }
 
 // RunPoint simulates design point p into the caller-owned res (typically
 // from GetResult), collecting the artifacts selected by collect. The
-// runtime comes from the runtime pool (built fresh on a miss) and is
-// returned to it afterwards; the compiled trace comes from the memo when
-// possible. On error res holds partial state and must not be interpreted
+// compiled trace comes from the memo when possible; the runtime comes from
+// the runtime pool (built fresh on a miss, seeded from the compiled trace's
+// source) and is returned to it afterwards. On error res holds partial state and must not be interpreted
 // (it is still safe to PutResult).
 func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Options, res *sim.Result) error {
 	cfg, key, err := r.pointConfig(p, collect)
@@ -462,6 +471,7 @@ func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Opti
 	if err != nil {
 		return err
 	}
+	cfg.Workload = ct.Trace
 	rt, pool, err := r.runtime(&cfg, key)
 	if err != nil {
 		return err
@@ -471,61 +481,10 @@ func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Opti
 	return err
 }
 
-// RunPointSet simulates several design points that share one workload in a
-// single pass over the compiled trace (sim.RunCompiledSet): the trace is
-// walked once and every runtime advances through it phase by phase. The
-// points may differ in scheduler, #ACs, forecast seeding, and prefetching,
-// but must agree on the workload knobs; results[i] receives point ps[i].
-// Each result is field-exact identical to a RunPoint of the same point.
-// collect must not request a journal: N interleaved event streams would be
-// unusable, so sim.RunCompiledSet rejects it; journal points one at a time
-// with RunPoint.
-func (r *Runner) RunPointSet(ctx context.Context, ps []explore.Point, collect sim.Options, results []*sim.Result) error {
-	if len(ps) != len(results) {
-		return fmt.Errorf("rispp: RunPointSet got %d points but %d results", len(ps), len(results))
-	}
-	if len(ps) == 0 {
-		return nil
-	}
-	rts := make([]sim.Runtime, len(ps))
-	pools := make([]*runtimePool, len(ps))
-	var ct *workload.Compiled
-	for i, p := range ps {
-		cfg, key, err := r.pointConfig(p, collect)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			if ct, err = r.compile(&cfg, key); err != nil {
-				return err
-			}
-		} else if p0 := ps[0]; p.Frames != p0.Frames || p.Seed != p0.Seed ||
-			p.Motion != p0.Motion || p.SceneChange != p0.SceneChange ||
-			p.Scenario != p0.Scenario {
-			return fmt.Errorf("rispp: RunPointSet points disagree on workload knobs: %s vs %s", p0.Key(), p.Key())
-		}
-		rt, pool, err := r.runtime(&cfg, key)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				r.putRuntime(pools[j], rts[j])
-			}
-			return err
-		}
-		rts[i], pools[i] = rt, pool
-	}
-	err := sim.RunCompiledSet(ctx, ct, rts, collect, results)
-	for i := range rts {
-		r.putRuntime(pools[i], rts[i])
-	}
-	return err
-}
-
 // Explorer wires the design-space exploration engine of internal/explore to
 // this library: every explore.Point is materialized as a Config and
 // simulated on a bounded worker pool, through a shared Runner (see Runner
-// for the workload semantics and the scratch-sharing guarantees). Points
-// that differ only in their scheduler are batched into a single pass over
-// the shared compiled trace (Runner.RunPointSet).
+// for the workload semantics and the scratch-sharing guarantees).
 func Explorer(base Config, workers int, cache *explore.Cache) *explore.Engine {
 	return newEngine(base, workers, cache, false)
 }
@@ -547,7 +506,6 @@ func newEngine(base Config, workers int, cache *explore.Cache, check bool) *expl
 	eng := &explore.Engine{
 		Workers: workers,
 		Run:     rn.engineRun(check),
-		RunSet:  rn.engineRunSet(check),
 	}
 	if cache != nil { // avoid a typed-nil Store interface
 		eng.Cache = cache
@@ -560,10 +518,11 @@ func newEngine(base Config, workers int, cache *explore.Cache, check bool) *expl
 // explore.Metrics.
 func (r *Runner) EngineRun() explore.RunFunc { return r.engineRun(false) }
 
-// EngineRunSet adapts Runner.RunPointSet to the engine's batched signature:
-// the points of one scheduler group run in a single pass over their shared
-// compiled trace, into pooled Results condensed to explore.Metrics.
-func (r *Runner) EngineRunSet() explore.RunSetFunc { return r.engineRunSet(false) }
+// EngineRunSet returns nil: the exploration engine runs every point
+// through Run.
+//
+// Deprecated: the grouped single-pass walk it adapted no longer exists.
+func (r *Runner) EngineRunSet() explore.RunSetFunc { return nil }
 
 // engineRun is EngineRun, followed by the oracle invariant checker on the
 // result when check is set.
@@ -579,46 +538,12 @@ func (r *Runner) engineRun(check bool) explore.RunFunc {
 				return explore.Metrics{}, err
 			}
 		}
-		return metricsOf(res), nil
-	}
-}
-
-// engineRunSet is EngineRunSet, followed by the oracle invariant checker on
-// every result of the batch when check is set.
-func (r *Runner) engineRunSet(check bool) explore.RunSetFunc {
-	return func(ctx context.Context, ps []explore.Point) ([]explore.Metrics, error) {
-		results := make([]*sim.Result, len(ps))
-		for i := range results {
-			results[i] = r.GetResult()
-		}
-		defer func() {
-			for _, res := range results {
-				r.PutResult(res)
-			}
-		}()
-		if err := r.RunPointSet(ctx, ps, r.base.Collect, results); err != nil {
-			return nil, err
-		}
-		ms := make([]explore.Metrics, len(ps))
-		for i, res := range results {
-			if check {
-				if err := r.check(ps[i], res); err != nil {
-					return nil, err
-				}
-			}
-			ms[i] = metricsOf(res)
-		}
-		return ms, nil
-	}
-}
-
-// metricsOf condenses a simulation result to the engine's metrics.
-func metricsOf(res *sim.Result) explore.Metrics {
-	return explore.Metrics{
-		TotalCycles:  res.TotalCycles,
-		StallCycles:  res.StallCycles,
-		SWExecutions: res.TotalSWExecutions(),
-		HWExecutions: res.TotalHWExecutions(),
+		return explore.Metrics{
+			TotalCycles:  res.TotalCycles,
+			StallCycles:  res.StallCycles,
+			SWExecutions: res.TotalSWExecutions(),
+			HWExecutions: res.TotalHWExecutions(),
+		}, nil
 	}
 }
 

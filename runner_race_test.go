@@ -95,15 +95,14 @@ func TestRunnerConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 }
 
 // TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic hammers the
-// runtime pool of one shared Runner from many goroutines, half via RunPoint
-// (one pooled runtime at a time) and half via RunPointSet (a whole
-// scheduler group of pooled runtimes held simultaneously for a single-pass
-// walk), checking every result against a sequential baseline. Run under
-// -race; cheap enough for -short.
+// runtime pool of one shared Runner from many goroutines, half sweeping the
+// points out of phase and half walking them one workload group at a time,
+// checking every result against a sequential baseline. Run under -race;
+// cheap enough for -short.
 func TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 	pts := racePoints()
-	// Group the points the way the exploration engine would: same knobs,
-	// different scheduler/ACs → one RunPointSet batch per frame count.
+	// Group the points by workload: same knobs, different scheduler/ACs →
+	// one group per frame count.
 	groups := map[int][]explore.Point{}
 	for _, p := range pts {
 		groups[p.Frames] = append(groups[p.Frames], p)
@@ -147,21 +146,18 @@ func TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 					continue
 				}
 				for _, ps := range groups {
-					results := make([]*sim.Result, len(ps))
-					for i := range results {
-						results[i] = shared.GetResult()
-					}
-					if err := shared.RunPointSet(context.Background(), ps, sim.Options{}, results); err != nil {
-						t.Errorf("goroutine %d: %v", g, err)
-						return
-					}
-					for i, p := range ps {
-						if w := wantOf[p.Normalized().Key()]; results[i].TotalCycles != w {
-							t.Errorf("goroutine %d, point %s: got %d cycles, want %d",
-								g, p.Key(), results[i].TotalCycles, w)
+					for _, p := range ps {
+						res := shared.GetResult()
+						if err := shared.RunPoint(context.Background(), p, sim.Options{}, res); err != nil {
+							t.Errorf("goroutine %d: %v", g, err)
 							return
 						}
-						shared.PutResult(results[i])
+						if w := wantOf[p.Normalized().Key()]; res.TotalCycles != w {
+							t.Errorf("goroutine %d, point %s: got %d cycles, want %d",
+								g, p.Key(), res.TotalCycles, w)
+							return
+						}
+						shared.PutResult(res)
 					}
 				}
 			}

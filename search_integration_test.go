@@ -23,18 +23,15 @@ func searchSpec() explore.Spec {
 
 // TestSearchOverSimulator runs every strategy against the real simulator
 // through the oracle-checked engine and verifies the determinism contract:
-// the journal, streamed records and front are byte-identical across runs,
-// whether points run one-by-one or through the grouped single-pass path.
+// the journal, streamed records and front are byte-identical across runs
+// at any engine worker count.
 func TestSearchOverSimulator(t *testing.T) {
 	spec := searchSpec()
 	for _, strat := range search.StrategyNames() {
 		t.Run(strat, func(t *testing.T) {
-			run := func(grouped bool, workers int) (*search.Outcome, []byte, []byte) {
+			run := func(workers int) (*search.Outcome, []byte, []byte) {
 				t.Helper()
 				eng := CheckedExplorer(Config{}, workers, nil)
-				if !grouped {
-					eng.RunSet = nil
-				}
 				var journal, stream bytes.Buffer
 				out, err := search.Run(context.Background(), eng, spec, search.Config{
 					Strategy: strat, Seed: 9, Budget: 10, BatchSize: 4,
@@ -45,7 +42,7 @@ func TestSearchOverSimulator(t *testing.T) {
 				}
 				return out, journal.Bytes(), stream.Bytes()
 			}
-			out, journal, stream := run(true, 4)
+			out, journal, stream := run(4)
 			if out.Evaluated == 0 || out.Evaluated > 10 {
 				t.Fatalf("evaluated %d points, want 1..10", out.Evaluated)
 			}
@@ -62,10 +59,9 @@ func TestSearchOverSimulator(t *testing.T) {
 			}
 			for _, variant := range []struct {
 				name    string
-				grouped bool
 				workers int
-			}{{"ungrouped", false, 1}, {"grouped-parallel", true, 8}} {
-				_, j, s := run(variant.grouped, variant.workers)
+			}{{"sequential", 1}, {"parallel", 8}} {
+				_, j, s := run(variant.workers)
 				if !bytes.Equal(j, journal) {
 					t.Errorf("%s: journal differs", variant.name)
 				}
